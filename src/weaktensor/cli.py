@@ -22,38 +22,19 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .dynamics import compare_states, exact_counterpart, phase_report, product_form
+from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report, product_form
 from .errors import WeakTensorError
+from .hilbert import basis_label
 from .realization import cell_to_basis, diagonal_cells
-from .render import render_cube, render_grid
+from .render import label_str
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
 from .schemefile import read_ket_file, read_scenario_file, render_document, scheme_document
-
-_FAMILY_PARAMS = {
-    "psit1": ("eps",),
-    "E111": ("eps",),
-    "Hamm2": ("eps", "eps2"),
-    "GHZ2": ("phi",),
-    "PsiGHZ11": ("phi", "eps"),
-    "exact": ("eps",),
-}
 
 _REALIZE_TABLE_CAP = 4096
 
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(value: complex) -> str:
-    return f"{value.real + 0.0:+.4f}"  # +0.0 folds IEEE -0.0 into +0.0
-
-
-def _label_str(label, dims) -> str:
-    joiner = "" if all(d <= 10 for d in dims) else ","
-    return "|" + joiner.join(str(l) for l in label) + ">"
 
 
 def _scenario_for(args) -> Scenario:
@@ -78,30 +59,7 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _render_scenario(scenario: Scenario, fmt: str, out: str | None) -> int:
-    doc = scheme_document(scenario)
-    if fmt == "text":
-        tensor = doc.to_tensor()
-        lines = [
-            f"scenario: {doc.scenario}",
-            f"kind: {doc.kind}",
-            f"overlap: {doc.overlap.real + 0.0:+.4f}{doc.overlap.imag + 0.0:+.4f}i",
-        ]
-        if tensor.rank == 2:
-            lines.append(render_grid(tensor, doc.labels).rstrip("\n"))
-        elif tensor.rank == 3:
-            lines.append(render_cube(tensor, doc.labels).rstrip("\n"))
-        else:
-            for label, value in zip(np.ndindex(*tensor.dims), tensor.components.reshape(-1)):
-                lines.append(f"  {_label_str(label, tensor.dims)}  {_fmt(value)}")
-        for axis, per_level in enumerate(doc.marginals):
-            pairs = "  ".join(
-                f"{lbl}={_fmt(v)}" for lbl, v in zip(doc.labels[axis], per_level)
-            )
-            lines.append(f"axis {axis} marginals: {pairs}")
-        lines.append(f"total: {_fmt(doc.total)}")
-        _emit(("\n".join(lines) + "\n").encode("utf-8"), out)
-    else:
-        _emit(render_document(doc, fmt), out)
+    _emit(render_document(scheme_document(scenario), fmt), out)
     return 0
 
 
@@ -123,13 +81,13 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_evolve(args) -> int:
     family = args.family
-    for param in _FAMILY_PARAMS[family]:
+    form_family = "psit1" if family == "exact" else family
+    for param in FAMILIES[form_family].params:
         if getattr(args, param) is None:
             raise _UsageError(f"family {family} requires --{param}")
     params = {p: getattr(args, p) for p in ("eps", "eps2", "phi") if getattr(args, p) is not None}
 
     build = exact_counterpart if family == "exact" else product_form
-    form_family = "psit1" if family == "exact" else family
     state = build(form_family, args.time, **params)
     reference = build(form_family, 0.0, **params)
 
@@ -138,13 +96,11 @@ def _cmd_evolve(args) -> int:
     for k in range(state.dim):
         value = state.amps[k]
         if abs(value) > 1e-12:
-            label = _label_str(
-                tuple(int(x) for x in np.unravel_index(k, state.dims)), state.dims
-            )
+            label = label_str(basis_label(k, state.dims), state.dims)
             lines.append(f"  {label}  {value.real + 0.0:+.6f}{value.imag + 0.0:+.6f}i")
     lines.append("relative phases vs t=0:")
     for label, phase in phase_report(state, reference).items():
-        lines.append(f"  {_label_str(label, state.dims)}  {phase:+.6f}")
+        lines.append(f"  {label_str(label, state.dims)}  {phase:+.6f}")
     if args.compare:
         exact = exact_counterpart(form_family, args.time, **params)
         form = product_form(form_family, args.time, **params)
@@ -204,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument(
         "--family",
         required=True,
-        choices=("psit1", "E111", "Hamm2", "GHZ2", "PsiGHZ11", "exact"),
+        choices=(*FAMILIES, "exact"),
         help="product-form family, or 'exact' for exact evolution of the "
         "two-EPR-pair system",
     )

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,11 +89,7 @@ def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> 
     energies = np.zeros(total_dim(dims), dtype=np.float64)
     shaped = energies.reshape(dims)
     for term in terms:
-        term.selector.check_shape(dims)
-        selector = [slice(None)] * len(dims)
-        for s, lvl in term.selector.factors:
-            selector[s] = lvl
-        shaped[tuple(selector)] += term.coupling
+        shaped[term.selector.index(dims)] += term.coupling
     return DiagonalHamiltonian(dims, energies)
 
 
@@ -108,33 +106,78 @@ def epr_pair() -> Ket:
     return Ket((2, 2), np.array([0.0, -s, s, 0.0], dtype=np.complex128))
 
 
-PRODUCT_FAMILIES = ("psit1", "E111", "Hamm2", "GHZ2", "PsiGHZ11")
+def _all_pairs_10_selector(n_pairs: int) -> ProjectorProduct:
+    # joint |10> on every pair: qubit 2j at level 1, qubit 2j+1 at level 0
+    return ProjectorProduct(tuple((q, 1 - q % 2) for q in range(2 * n_pairs)))
 
 
-def _require(value: float | None, name: str, family: str) -> float:
-    if value is None:
-        raise MissingParamError(f"family {family!r} requires parameter {name!r}")
-    return float(value)
+def _all_at(level: int, qubits: Iterable[int]) -> ProjectorProduct:
+    return ProjectorProduct(tuple((q, level) for q in qubits))
 
 
-def _epr_factor(phase_10: complex = 1.0, phase_01: complex = 1.0) -> Ket:
-    s = 1.0 / math.sqrt(2.0)
-    return Ket((2, 2), np.array([0.0, -phase_01 * s, phase_10 * s, 0.0]))
+#: joint |01>|01> label of EPR pairs 1 and 2
+_PAIRS_01 = ProjectorProduct(((0, 0), (1, 1), (2, 0), (3, 1)))
 
 
-def _ghz_factor(phase_000: complex = 1.0, phase_111: complex = 1.0) -> Ket:
-    s = 1.0 / math.sqrt(2.0)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = phase_000 * s
-    amps[7] = phase_111 * s
-    return Ket((2, 2, 2), amps)
+@dataclass(frozen=True)
+class Family:
+    """One multiwise family, stated once for both evolution routes.
+
+    The system is ``len(phased)`` copies of ``factor`` (an EPR pair or a GHZ
+    cube). The product form multiplies component ``index`` of copy ``j`` by
+    ``exp(-i * rate * t)``, where ``phased[j] = (index, rate)``; exact
+    evolution uses the joint-projector Hamiltonian with one
+    ``(rate, selector)`` term per entry of ``terms``. Each rate is a function
+    of the mapping from parameter name to value.
+    """
+
+    params: tuple[str, ...]
+    factor: Ket
+    phased: tuple[tuple[int, Callable[[dict], float]], ...]
+    terms: tuple[tuple[Callable[[dict], float], ProjectorProduct], ...]
 
 
-def _chain(factors: list[Ket]) -> Ket:
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
+_eps, _eps2, _phi = itemgetter("eps"), itemgetter("eps2"), itemgetter("phi")
+
+#: The named families; see :func:`product_form` and :func:`exact_counterpart`.
+#: EPR flat index 2 is ``|10>`` and 1 is ``|01>``; GHZ index 0 is ``|000>``
+#: and 7 is ``|111>``.
+FAMILIES = {
+    "psit1": Family(
+        ("eps",), epr_pair(), ((2, _eps),) * 2, ((_eps, _all_pairs_10_selector(2)),)
+    ),
+    "E111": Family(
+        ("eps",), epr_pair(), ((2, _eps),) * 3, ((_eps, _all_pairs_10_selector(3)),)
+    ),
+    "Hamm2": Family(
+        ("eps", "eps2"),
+        epr_pair(),
+        ((2, _eps), (2, lambda p: p["eps"] - p["eps2"]), (1, _eps2)),
+        ((_eps, _all_pairs_10_selector(2)), (_eps2, _PAIRS_01)),
+    ),
+    "GHZ2": Family(("phi",), ghz_ket(3, 2), ((0, _phi),) * 2, ((_phi, _all_at(0, range(6))),)),
+    "PsiGHZ11": Family(
+        ("phi", "eps"),
+        ghz_ket(3, 2),
+        ((0, _phi), (0, lambda p: -p["eps"]), (7, lambda p: p["phi"] + p["eps"])),
+        (
+            (_phi, _all_at(0, range(6))),
+            (lambda p: p["phi"] + p["eps"], _all_at(1, range(3, 9))),
+        ),
+    ),
+}
+
+PRODUCT_FAMILIES = tuple(FAMILIES)
+
+
+def _family(name: str, **params: float | None) -> tuple[Family, dict]:
+    if name not in FAMILIES:
+        raise UnknownFamilyError(f"unknown family {name!r}; expected one of {PRODUCT_FAMILIES}")
+    family = FAMILIES[name]
+    for param in family.params:
+        if params[param] is None:
+            raise MissingParamError(f"family {name!r} requires parameter {param!r}")
+    return family, {param: float(params[param]) for param in family.params}
 
 
 def product_form(
@@ -159,45 +202,13 @@ def product_form(
       ``|000>`` of cube 1, ``e^{+i*eps*t}`` on ``|000>`` of cube 2 and
       ``e^{-i*(phi+eps)*t}`` on ``|111>`` of cube 3.
     """
-    if family == "psit1":
-        e = _require(eps, "eps", family)
-        f = _epr_factor(phase_10=np.exp(-1j * e * t))
-        return _chain([f, f])
-    if family == "E111":
-        e = _require(eps, "eps", family)
-        f = _epr_factor(phase_10=np.exp(-1j * e * t))
-        return _chain([f, f, f])
-    if family == "Hamm2":
-        e1 = _require(eps, "eps", family)
-        e2 = _require(eps2, "eps2", family)
-        return _chain(
-            [
-                _epr_factor(phase_10=np.exp(-1j * e1 * t)),
-                _epr_factor(phase_10=np.exp(-1j * (e1 - e2) * t)),
-                _epr_factor(phase_01=np.exp(-1j * e2 * t)),
-            ]
-        )
-    if family == "GHZ2":
-        p = _require(phi, "phi", family)
-        g = _ghz_factor(phase_000=np.exp(-1j * p * t))
-        return _chain([g, g])
-    if family == "PsiGHZ11":
-        p = _require(phi, "phi", family)
-        e = _require(eps, "eps", family)
-        beta = p + e
-        return _chain(
-            [
-                _ghz_factor(phase_000=np.exp(-1j * p * t)),
-                _ghz_factor(phase_000=np.exp(1j * e * t)),
-                _ghz_factor(phase_111=np.exp(-1j * beta * t)),
-            ]
-        )
-    raise UnknownFamilyError(f"unknown family {family!r}; expected one of {PRODUCT_FAMILIES}")
-
-
-def _all_pairs_10_selector(n_pairs: int) -> ProjectorProduct:
-    # joint |10> on every pair: qubit 2j at level 1, qubit 2j+1 at level 0
-    return ProjectorProduct(tuple((q, 1 - q % 2) for q in range(2 * n_pairs)))
+    fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
+    copies = []
+    for index, rate in fam.phased:
+        amps = fam.factor.amps.copy()
+        amps[index] *= np.exp(-1j * rate(values) * t)
+        copies.append(Ket(fam.factor.dims, amps))
+    return reduce(tensor_product, copies)
 
 
 def multiwise_epr_hamiltonian(eps: float, n_pairs: int = 2) -> DiagonalHamiltonian:
@@ -214,18 +225,18 @@ def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> Diagon
     further pairs uncoupled."""
     if n_pairs < 2:
         raise ValueError("need at least the two coupled pairs")
-    sel_10 = ProjectorProduct(((0, 1), (1, 0), (2, 1), (3, 0)))
-    sel_01 = ProjectorProduct(((0, 0), (1, 1), (2, 0), (3, 1)))
     return build_hamiltonian(
-        (2,) * (2 * n_pairs), [HamiltonianTerm(eps1, sel_10), HamiltonianTerm(eps2, sel_01)]
+        (2,) * (2 * n_pairs),
+        [HamiltonianTerm(eps1, _all_pairs_10_selector(2)), HamiltonianTerm(eps2, _PAIRS_01)],
     )
 
 
 def multiwise_ghz_hamiltonian(phi: float, n_cubes: int = 2) -> DiagonalHamiltonian:
     """Joint-projector coupling of ``n_cubes`` GHZ cubes: a single term of
     energy ``phi`` on the all-zeros label."""
-    sel = ProjectorProduct(tuple((q, 0) for q in range(3 * n_cubes)))
-    return build_hamiltonian((2,) * (3 * n_cubes), [HamiltonianTerm(phi, sel)])
+    return build_hamiltonian(
+        (2,) * (3 * n_cubes), [HamiltonianTerm(phi, _all_at(0, range(3 * n_cubes)))]
+    )
 
 
 def exact_counterpart(
@@ -250,32 +261,10 @@ def exact_counterpart(
       cubes 1 and 2 and ``phi + eps`` on the all-ones label of cubes 2
       and 3 (the third cube sits at the ``|111>`` corner of the second).
     """
-    if family == "psit1":
-        e = _require(eps, "eps", family)
-        return evolve(_chain([epr_pair()] * 2), multiwise_epr_hamiltonian(e, 2), t)
-    if family == "E111":
-        e = _require(eps, "eps", family)
-        return evolve(_chain([epr_pair()] * 3), multiwise_epr_hamiltonian(e, 3), t)
-    if family == "Hamm2":
-        e1 = _require(eps, "eps", family)
-        e2 = _require(eps2, "eps2", family)
-        return evolve(_chain([epr_pair()] * 3), paired_epr_hamiltonian(e1, e2, n_pairs=3), t)
-    if family == "GHZ2":
-        p = _require(phi, "phi", family)
-        return evolve(
-            _chain([ghz_ket(3, 2)] * 2), multiwise_ghz_hamiltonian(p, 2), t
-        )
-    if family == "PsiGHZ11":
-        p = _require(phi, "phi", family)
-        e = _require(eps, "eps", family)
-        dims = (2,) * 9
-        zeros_12 = ProjectorProduct(tuple((q, 0) for q in range(6)))
-        ones_23 = ProjectorProduct(tuple((q, 1) for q in range(3, 9)))
-        h = build_hamiltonian(
-            dims, [HamiltonianTerm(p, zeros_12), HamiltonianTerm(p + e, ones_23)]
-        )
-        return evolve(_chain([ghz_ket(3, 2)] * 3), h, t)
-    raise UnknownFamilyError(f"unknown family {family!r}; expected one of {PRODUCT_FAMILIES}")
+    fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
+    state = reduce(tensor_product, [fam.factor] * len(fam.phased))
+    terms = [HamiltonianTerm(rate(values), selector) for rate, selector in fam.terms]
+    return evolve(state, build_hamiltonian(state.dims, terms), t)
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,13 @@ class ProjectorProduct:
     def subsystems(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.factors)
 
-    def check_shape(self, dims: Sequence[int]) -> None:
-        """Validate every factor against a subsystem shape."""
+    def index(self, dims: Sequence[int]) -> tuple[int | slice, ...]:
+        """Numpy index of the product's support in an array of shape ``dims``:
+        the chosen level on every factor axis, ``slice(None)`` elsewhere.
+
+        Validates every factor against the shape first.
+        """
+        index: list[int | slice] = [slice(None)] * len(dims)
         for s, lvl in self.factors:
             if not 0 <= s < len(dims):
                 raise SubsystemOutOfRangeError(f"subsystem {s} not in shape {tuple(dims)}")
@@ -194,10 +199,8 @@ class ProjectorProduct:
                 raise LevelOutOfRangeError(
                     f"level {lvl} not valid for subsystem {s} of dimension {dims[s]}"
                 )
-
-    def matches(self, label: Sequence[int]) -> bool:
-        """True if the basis label agrees with every factor."""
-        return all(label[s] == lvl for s, lvl in self.factors)
+            index[s] = lvl
+        return tuple(index)
 
 
 def apply_projector_product(p: ProjectorProduct, k: Ket) -> Ket:
@@ -206,15 +209,10 @@ def apply_projector_product(p: ProjectorProduct, k: Ket) -> Ket:
     Pure masking: surviving amplitudes are returned bit-identical, so the
     operation is exactly idempotent.
     """
-    p.check_shape(k.dims)
-    out = k.amps.reshape(k.dims).copy()
-    selector = [slice(None)] * len(k.dims)
-    for s, lvl in p.factors:
-        for other in range(k.dims[s]):
-            if other != lvl:
-                selector[s] = other
-                out[tuple(selector)] = 0.0
-        selector[s] = slice(None)
+    index = p.index(k.dims)
+    shaped = k.amps.reshape(k.dims)
+    out = np.zeros_like(shaped)
+    out[index] = shaped[index]
     return Ket(k.dims, out.reshape(-1))
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonQubitShapeError, NonUniformShapeError, OutOfRangeError
-from .hilbert import Ket, apply_pauli_string, inner, normalize
+from .hilbert import Ket, apply_pauli_string, basis_label, inner, normalize
 
 #: Component-wise tolerance for declaring an eigenstate.
 EIGENSTATE_TOL = 1e-10
@@ -31,11 +31,7 @@ def cell_to_basis(cell: int, levels: int, axes: int) -> tuple[int, ...]:
     _check_grid(levels, axes)
     if not 0 <= cell < levels**axes:
         raise OutOfRangeError(f"cell {cell} is outside [0, {levels**axes})")
-    digits = []
-    for _ in range(axes):
-        digits.append(cell % levels)
-        cell //= levels
-    return tuple(reversed(digits))
+    return basis_label(cell, (levels,) * axes)
 
 
 def basis_to_cell(label: Sequence[int], levels: int, axes: int) -> int:

@@ -28,17 +28,23 @@ IMAG_WARN_TOL = 1e-9
 #: Real parts within this of zero are rendered with the neutral fill.
 SIGN_TOL = 1e-12
 
-_PRECISION = 4
+
+def fmt_real(value: complex) -> str:
+    """Signed real part at four decimals, the format of every text cell."""
+    return f"{value.real + 0.0:+.4f}"  # +0.0 folds IEEE -0.0 into +0.0
 
 
-def _fmt(value: complex) -> str:
-    return f"{value.real + 0.0:+.{_PRECISION}f}"  # +0.0 folds IEEE -0.0 into +0.0
+def label_str(label: Sequence[int], dims: Sequence[int]) -> str:
+    """Ket notation of a basis label; digits are comma-separated once any
+    dimension exceeds 10."""
+    joiner = "" if all(d <= 10 for d in dims) else ","
+    return "|" + joiner.join(str(l) for l in label) + ">"
 
 
 def _fmt_full(value: complex) -> str:
     if abs(value.imag) > IMAG_WARN_TOL:
-        return f"{value.real + 0.0:+.{_PRECISION}f}{value.imag + 0.0:+.{_PRECISION}f}i"
-    return _fmt(value)
+        return f"{value.real + 0.0:+.4f}{value.imag + 0.0:+.4f}i"
+    return fmt_real(value)
 
 
 def _checked_labels(
@@ -52,16 +58,16 @@ def _checked_labels(
     return out
 
 
-def _imag_warning(t: WeakValueTensor, labels) -> str | None:
+def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
     flagged = []
     for label in np.ndindex(*t.dims):
         value = t.components[label]
         if abs(value.imag) > IMAG_WARN_TOL:
             pretty = ",".join(labels[axis][lvl] for axis, lvl in enumerate(label))
-            flagged.append(f"({pretty}) imag={value.imag:+.{_PRECISION}f}")
+            flagged.append(f"({pretty}) imag={value.imag:+.4f}")
     if not flagged:
-        return None
-    return f"warning: imaginary parts above {IMAG_WARN_TOL:g}: " + "; ".join(flagged)
+        return []
+    return [f"warning: imaginary parts above {IMAG_WARN_TOL:g}: " + "; ".join(flagged)]
 
 
 def _grid_lines(
@@ -76,14 +82,14 @@ def _grid_lines(
     rows, cols = block.shape
 
     def cell(r: int, c: int) -> str:
-        text = _fmt(block[r, c])
+        text = fmt_real(block[r, c])
         if marks is not None:
             text += "*" if (r, c) in marks else " "
         return text
 
     strings = [[cell(r, c) for c in range(cols)] for r in range(rows)]
-    sum_col = [_fmt(v) for v in row_sums] if row_sums is not None else None
-    sum_row = [_fmt(v) for v in col_sums] if col_sums is not None else None
+    sum_col = [fmt_real(v) for v in row_sums] if row_sums is not None else None
+    sum_row = [fmt_real(v) for v in col_sums] if col_sums is not None else None
 
     w0 = max([len(str(l)) for l in row_labels] + [3])
     width = max(
@@ -91,7 +97,7 @@ def _grid_lines(
         + [len(str(l)) for l in col_labels]
         + ([len(s) for s in sum_col] if sum_col else [])
         + ([len(s) for s in sum_row] if sum_row else [])
-        + ([len(_fmt(total))] if total is not None else [])
+        + ([len(fmt_real(total))] if total is not None else [])
         + [3]
     )
 
@@ -108,7 +114,7 @@ def _grid_lines(
         )
     if sum_row is not None and total is not None:
         lines.append("-" * len(lines[0]))
-        lines.append(line("sum", sum_row, _fmt(total)))
+        lines.append(line("sum", sum_row, fmt_real(total)))
     return lines
 
 
@@ -131,9 +137,7 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
         marginalize(t, 1),
         total_sum(t),
     )
-    warning = _imag_warning(t, labels)
-    if warning is not None:
-        lines.append(warning)
+    lines.extend(_imag_warning(t, labels))
     return "\n".join(lines) + "\n"
 
 
@@ -161,9 +165,7 @@ def render_cube(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
             )
         )
         lines.append("")
-    warning = _imag_warning(t, labels)
-    if warning is not None:
-        lines.append(warning)
+    lines.extend(_imag_warning(t, labels))
     while lines and lines[-1] == "":
         lines.pop()
     return "\n".join(lines) + "\n"

@@ -83,27 +83,22 @@ class Scenario:
         return None if self.post is None else selection_overlap(self.pre, self.post)
 
 
-_BELL_AMPS = {
-    "psi+": (0.0, 1.0, 1.0, 0.0),
-    "psi-": (0.0, 1.0, -1.0, 0.0),
-    "phi+": (1.0, 0.0, 0.0, 1.0),
-    "phi-": (1.0, 0.0, 0.0, -1.0),
-}
-
-_BELL_NAMES = {
-    "psi+": "bell-psi-plus",
-    "psi-": "bell-psi-minus",
-    "phi+": "bell-phi-plus",
-    "phi-": "bell-phi-minus",
+#: Bell kind -> (scenario name, unnormalized amplitudes).
+_BELL = {
+    "psi+": ("bell-psi-plus", (0.0, 1.0, 1.0, 0.0)),
+    "psi-": ("bell-psi-minus", (0.0, 1.0, -1.0, 0.0)),
+    "phi+": ("bell-phi-plus", (1.0, 0.0, 0.0, 1.0)),
+    "phi-": ("bell-phi-minus", (1.0, 0.0, 0.0, -1.0)),
 }
 
 
 def bell(kind: str) -> Scenario:
     """Two-qubit Bell state scenario; kind is one of psi+, psi-, phi+, phi-."""
-    if kind not in _BELL_AMPS:
-        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL_AMPS)}")
-    amps = np.array(_BELL_AMPS[kind]) / math.sqrt(2.0)
-    return Scenario(_BELL_NAMES[kind], make_ket((2, 2), amps), None, default_labels((2, 2)))
+    if kind not in _BELL:
+        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL)}")
+    name, amps = _BELL[kind]
+    state = make_ket((2, 2), np.array(amps) / math.sqrt(2.0))
+    return Scenario(name, state, None, default_labels((2, 2)))
 
 
 def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
@@ -221,20 +216,27 @@ def custom(
     return Scenario(name, pre, post, labels)
 
 
-#: Scenario names exposed to the CLI; ``hardy-gamma`` requires a gamma value
-#: and ``ghz`` accepts party/level counts.
-SCENARIO_NAMES = (
-    "bell-psi-plus",
-    "bell-psi-minus",
-    "bell-phi-plus",
-    "bell-phi-minus",
-    "ghz",
-    "cheshire",
-    "hardy",
-    "hardy-overlap",
-    "hardy-gamma",
-    "ghz3-selected",
-)
+def _hardy_gamma_named(gamma: float | None, parties: int, levels: int) -> Scenario:
+    if gamma is None:
+        raise MissingParamError("hardy-gamma requires a gamma value")
+    return hardy_gamma(gamma)
+
+
+#: Built-in scenarios by CLI name, in listing order. Each builder takes
+#: ``(gamma, parties, levels)``: ``hardy-gamma`` requires a gamma value and
+#: ``ghz`` uses the party/level counts.
+_NAMED = {
+    **{name: (lambda *_, kind=kind: bell(kind)) for kind, (name, _amps) in _BELL.items()},
+    "ghz": lambda _gamma, parties, levels: ghz(parties, levels),
+    "cheshire": lambda *_: cheshire(),
+    "hardy": lambda *_: hardy(),
+    "hardy-overlap": lambda *_: hardy_overlap_labels(hardy()),
+    "hardy-gamma": _hardy_gamma_named,
+    "ghz3-selected": lambda *_: ghz3_selected(),
+}
+
+#: Scenario names exposed to the CLI.
+SCENARIO_NAMES = tuple(_NAMED)
 
 
 def build_named(
@@ -244,21 +246,6 @@ def build_named(
     levels: int = 2,
 ) -> Scenario:
     """Build a scenario from its CLI name."""
-    if name.startswith("bell-"):
-        kind = name.removeprefix("bell-").replace("-plus", "+").replace("-minus", "-")
-        return bell(kind)
-    if name == "ghz":
-        return ghz(parties, levels)
-    if name == "cheshire":
-        return cheshire()
-    if name == "hardy":
-        return hardy()
-    if name == "hardy-overlap":
-        return hardy_overlap_labels(hardy())
-    if name == "hardy-gamma":
-        if gamma is None:
-            raise MissingParamError("hardy-gamma requires a gamma value")
-        return hardy_gamma(gamma)
-    if name == "ghz3-selected":
-        return ghz3_selected()
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    if name not in _NAMED:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    return _NAMED[name](gamma, parties, levels)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaViolationError
 from .hilbert import MAX_DIMENSION, Ket, make_ket
-from .render import render_cube, render_grid, render_svg
+from .render import fmt_real, label_str, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, marginalize, total_sum
 
@@ -82,16 +82,40 @@ def document_to_json(doc: SchemeDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _document_text(doc: SchemeDocument) -> str:
+    # header, then the grid (rank 2), the cube (rank 3) or one line per
+    # component, then the per-axis marginals and the total
+    tensor = doc.to_tensor()
+    lines = [
+        f"scenario: {doc.scenario}",
+        f"kind: {doc.kind}",
+        f"overlap: {doc.overlap.real + 0.0:+.4f}{doc.overlap.imag + 0.0:+.4f}i",
+    ]
+    if tensor.rank == 2:
+        lines.append(render_grid(tensor, doc.labels).rstrip("\n"))
+    elif tensor.rank == 3:
+        lines.append(render_cube(tensor, doc.labels).rstrip("\n"))
+    else:
+        for label, value in zip(np.ndindex(*tensor.dims), tensor.components.reshape(-1)):
+            lines.append(f"  {label_str(label, tensor.dims)}  {fmt_real(value)}")
+    for axis, per_level in enumerate(doc.marginals):
+        pairs = "  ".join(f"{lbl}={fmt_real(v)}" for lbl, v in zip(doc.labels[axis], per_level))
+        lines.append(f"axis {axis} marginals: {pairs}")
+    lines.append(f"total: {fmt_real(doc.total)}")
+    return "\n".join(lines) + "\n"
+
+
 def render_document(doc: SchemeDocument, fmt: str) -> bytes:
-    """Render a document as json, text, or svg bytes."""
+    """Render a document as json, text, or svg bytes.
+
+    The text form is the CLI's text document for any rank.
+    """
     if fmt == "json":
         return document_to_json(doc).encode("utf-8")
-    tensor = doc.to_tensor()
     if fmt == "text":
-        renderer = render_grid if tensor.rank == 2 else render_cube
-        return renderer(tensor, doc.labels).encode("utf-8")
+        return _document_text(doc).encode("utf-8")
     if fmt == "svg":
-        return render_svg(tensor, doc.labels)
+        return render_svg(doc.to_tensor(), doc.labels)
     raise ValueError(f"unknown format {fmt!r}; expected json, text, or svg")
 
 
@@ -125,6 +149,18 @@ def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
     return amps
 
 
+def _load_object(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
+        ) from exc
+    if not isinstance(data, dict):
+        raise SchemaViolationError("$", "expected a JSON object")
+    return data
+
+
 def _parse_shape(raw: object) -> tuple[int, ...]:
     if (
         not isinstance(raw, list)
@@ -140,14 +176,7 @@ def _parse_shape(raw: object) -> tuple[int, ...]:
 
 def parse_scenario(text: str, name: str = "custom") -> Scenario:
     """Parse scenario JSON text into a Scenario."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
-        ) from exc
-    if not isinstance(data, dict):
-        raise SchemaViolationError("$", "expected a JSON object")
+    data = _load_object(text)
     dims = _parse_shape(_require_field(data, "shape"))
     d_total = math.prod(dims)
 
@@ -206,14 +235,7 @@ def read_ket_file(path: str | os.PathLike) -> Ket:
     """Read a single-state JSON file: ``{"shape": [...], "amps": [[re, im], ...]}``."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
-        ) from exc
-    if not isinstance(data, dict):
-        raise SchemaViolationError("$", "expected a JSON object")
+    data = _load_object(text)
     dims = _parse_shape(_require_field(data, "shape"))
     amps = _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims))
     return make_ket(dims, amps)

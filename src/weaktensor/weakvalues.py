@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     SubsystemOutOfRangeError,
 )
-from .hilbert import Ket, ProjectorProduct, apply_projector_product, inner, norm, normalize
+from .hilbert import Ket, ProjectorProduct, inner, norm, normalize
 
 #: Relative orthogonality tolerance: a selection is rejected when
 #: ``|<post|pre>| <= ORTHO_TOL * norm(pre) * norm(post)``. The relative form
@@ -72,14 +72,15 @@ class WeakValueTensor:
 
 
 def weak_value(pre: Ket, post: Ket, op: ProjectorProduct) -> complex:
-    """Weak value ``<post| op |pre> / <post|pre>`` of a projector product.
+    """Weak value ``<post| op |pre> / <post|pre>`` of a projector product:
+    the sum of the weak-tensor components on the product's support.
 
     Invariant under nonzero complex rescaling of either state. Raises
     :class:`OrthogonalSelectionError` when the selection overlap is
     numerically zero (relative tolerance :data:`ORTHO_TOL`).
     """
-    overlap = selection_overlap(pre, post)
-    return inner(post, apply_projector_product(op, pre)) / overlap
+    components = weak_tensor(pre, post).components
+    return complex(components[op.index(pre.dims)].sum())
 
 
 def weak_tensor(pre: Ket, post: Ket) -> WeakValueTensor:
@@ -123,7 +124,7 @@ def total_sum(t: WeakValueTensor) -> complex:
 def weak_value_observable(pre: Ket, post: Ket, matrix) -> complex:
     """Weak value ``<post| A |pre> / <post|pre>`` of a dense operator matrix.
 
-    Brute-force route used as the independent oracle for the masking-based
+    Brute-force route used as the independent oracle for the index-based
     projector paths.
     """
     overlap = selection_overlap(pre, post)

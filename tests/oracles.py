@@ -65,3 +65,28 @@ def random_selected_pair(rng, dims, min_relative_overlap=0.01):
         overlap = np.vdot(post, pre)
         if abs(overlap) > min_relative_overlap * np.linalg.norm(pre) * np.linalg.norm(post):
             return pre, post
+
+
+def digits(index, dims):
+    """Big-endian digits of a flat index, by repeated division."""
+    out = []
+    for d in reversed(dims):
+        index, digit = divmod(index, d)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def kron_phased_factors(factor, phased, t):
+    """Kron of one copy of ``factor`` per ``(index, rate)`` entry, with
+    component ``index`` of that copy multiplied by ``exp(-i * rate * t)``."""
+    out = np.ones(1, dtype=complex)
+    for index, rate in phased:
+        copy = np.array(factor, dtype=complex)
+        copy[index] *= np.exp(-1j * rate * t)
+        out = np.kron(out, copy)
+    return out
+
+
+def digit_energies(dims, energy_of_label):
+    """Energy per flat index, from ``energy_of_label`` of each label's digits."""
+    return np.array([energy_of_label(digits(k, dims)) for k in range(math.prod(dims))])
