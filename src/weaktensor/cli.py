@@ -19,12 +19,15 @@ name is written to stderr).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
+import numpy as np
+
 from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report, product_form
 from .errors import WeakTensorError
-from .hilbert import basis_label
+from .hilbert import basis_labels
 from .realization import cell_to_basis, diagonal_cells
 from .render import label_str
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
@@ -93,11 +96,12 @@ def _cmd_evolve(args) -> int:
 
     lines = [f"family: {family}", f"time: {args.time:g}"]
     lines.append("amplitudes:")
-    for k in range(state.dim):
-        value = state.amps[k]
-        if abs(value) > 1e-12:
-            label = label_str(basis_label(k, state.dims), state.dims)
-            lines.append(f"  {label}  {value.real + 0.0:+.6f}{value.imag + 0.0:+.6f}i")
+    shown = np.abs(state.amps) > 1e-12
+    labels = itertools.compress(basis_labels(state.dims), shown)
+    for label, value in zip(labels, state.amps[shown]):
+        lines.append(
+            f"  {label_str(label, state.dims)}  {value.real + 0.0:+.6f}{value.imag + 0.0:+.6f}i"
+        )
     lines.append("relative phases vs t=0:")
     for label, phase in phase_report(state, reference).items():
         lines.append(f"  {label_str(label, state.dims)}  {phase:+.6f}")
@@ -116,7 +120,9 @@ def _cmd_realize(args) -> int:
     levels, axes = args.levels, args.axes
     if levels < 2 or axes < 1:
         raise _UsageError(f"need --levels >= 2 and --axes >= 1, got {levels} and {axes}")
-    if levels**axes > _REALIZE_TABLE_CAP:
+    # levels >= 2, so axes >= cap.bit_length() already means more than cap
+    # cells; testing it first avoids computing a huge power
+    if axes >= _REALIZE_TABLE_CAP.bit_length() or levels**axes > _REALIZE_TABLE_CAP:
         raise _UsageError(f"table of {levels}**{axes} cells exceeds the cap {_REALIZE_TABLE_CAP}")
     print("cell  basis")
     for cell in range(levels**axes):

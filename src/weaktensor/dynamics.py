@@ -16,6 +16,7 @@ quantifies the gap instead of deciding between them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     MissingParamError,
+    NonFiniteEnergyError,
     ShapeMismatchError,
     UnknownFamilyError,
     ZeroVectorError,
@@ -33,7 +35,7 @@ from .errors import (
 from .hilbert import (
     Ket,
     ProjectorProduct,
-    basis_label,
+    basis_labels,
     check_dims,
     inner,
     norm,
@@ -55,7 +57,7 @@ class HamiltonianTerm:
 
     def __post_init__(self):
         if not math.isfinite(self.coupling):
-            raise ValueError(f"coupling must be finite, got {self.coupling}")
+            raise NonFiniteEnergyError(f"coupling must be finite, got {self.coupling}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +75,7 @@ class DiagonalHamiltonian:
                 f"expected {total_dim(dims)} energies for shape {dims}, got {energies.size}"
             )
         if not np.all(np.isfinite(energies)):
-            raise ValueError("energies must be finite")
+            raise NonFiniteEnergyError("energies must be finite")
         energies.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "energies", energies)
@@ -309,12 +311,10 @@ def phase_report(state: Ket, reference: Ket) -> dict[tuple[int, ...], float]:
     """
     if state.dims != reference.dims:
         raise ShapeMismatchError(f"shapes differ: {state.dims} vs {reference.dims}")
-    report: dict[tuple[int, ...], float] = {}
-    for k in range(state.dim):
-        s, r = state.amps[k], reference.amps[k]
-        if abs(s) > PHASE_AMP_TOL and abs(r) > PHASE_AMP_TOL:
-            phase = float(np.angle(s / r)) + 0.0  # folds -0.0 into +0.0
-            if phase <= -math.pi:
-                phase += 2.0 * math.pi
-            report[basis_label(k, state.dims)] = phase
-    return report
+    s, r = state.amps, reference.amps
+    keep = (np.abs(s) > PHASE_AMP_TOL) & (np.abs(r) > PHASE_AMP_TOL)
+    phases = np.angle(s[keep] / r[keep]) + 0.0  # folds -0.0 into +0.0
+    phases[phases <= -math.pi] += 2.0 * math.pi
+    # labels and values are streamed, never listed: at 2^20 a list of
+    # either would add megabytes of Python objects next to the dict
+    return dict(zip(itertools.compress(basis_labels(state.dims), keep), map(float, phases)))

@@ -17,6 +17,10 @@ class NonFiniteAmplitudeError(WeakTensorError):
     """An amplitude contains NaN or infinity."""
 
 
+class NonFiniteEnergyError(WeakTensorError, ValueError):
+    """A Hamiltonian coupling or energy is NaN or infinite."""
+
+
 class DimensionOverflowError(WeakTensorError):
     """The total Hilbert-space dimension exceeds the supported ceiling."""
 
@@ -91,7 +95,7 @@ class UnsupportedRankError(WeakTensorError):
 
 
 class ParseError(WeakTensorError):
-    """A scenario file is not valid JSON."""
+    """A scenario or state file is not valid UTF-8 JSON."""
 
     def __init__(self, message: str, lineno: int | None = None, colno: int | None = None):
         super().__init__(message)

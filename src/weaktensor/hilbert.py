@@ -12,9 +12,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,6 +82,16 @@ def basis_label(index: int, dims: Sequence[int]) -> tuple[int, ...]:
         digits.append(index % d)
         index //= d
     return tuple(reversed(digits))
+
+
+def basis_labels(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every basis label in flat-index order: ``basis_label(k, dims)`` for
+    ``k = 0, 1, ...`` (big-endian, i.e. C order).
+
+    Pair it with a flat amplitude array (``zip``) or a boolean mask over one
+    (``itertools.compress``) instead of calling :func:`basis_label` per index.
+    """
+    return itertools.product(*map(range, dims))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,10 @@ from .weakvalues import WeakValueTensor, marginalize, total_sum
 #: Cells whose imaginary part exceeds this trigger the grid warning line.
 IMAG_WARN_TOL = 1e-9
 
+#: The warning line names at most this many cells, in flat order, and then
+#: counts the rest.
+IMAG_WARN_CELLS = 8
+
 #: Real parts within this of zero are rendered with the neutral fill.
 SIGN_TOL = 1e-12
 
@@ -59,15 +63,16 @@ def _checked_labels(
 
 
 def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
-    flagged = []
-    for label in np.ndindex(*t.dims):
-        value = t.components[label]
-        if abs(value.imag) > IMAG_WARN_TOL:
-            pretty = ",".join(labels[axis][lvl] for axis, lvl in enumerate(label))
-            flagged.append(f"({pretty}) imag={value.imag:+.4f}")
-    if not flagged:
+    flagged = np.flatnonzero(np.abs(t.components.imag) > IMAG_WARN_TOL)
+    if not flagged.size:
         return []
-    return [f"warning: imaginary parts above {IMAG_WARN_TOL:g}: " + "; ".join(flagged)]
+    cells = []
+    for label in zip(*np.unravel_index(flagged[:IMAG_WARN_CELLS], t.dims)):
+        pretty = ",".join(labels[axis][lvl] for axis, lvl in enumerate(label))
+        cells.append(f"({pretty}) imag={t.components[label].imag:+.4f}")
+    more = flagged.size - len(cells)
+    tail = f"; and {more} more" if more else ""
+    return [f"warning: imaginary parts above {IMAG_WARN_TOL:g}: " + "; ".join(cells) + tail]
 
 
 def _grid_lines(
@@ -123,8 +128,9 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
 
     Rows are axis 0 and columns axis 1; a border band carries the row and
     column marginal sums and the total. Cells show the signed real part; a
-    trailing warning line lists any cell whose imaginary part exceeds
-    :data:`IMAG_WARN_TOL`.
+    trailing warning line names the cells whose imaginary part exceeds
+    :data:`IMAG_WARN_TOL`: the first :data:`IMAG_WARN_CELLS` in flat order,
+    then a count of the rest.
     """
     if t.rank != 2:
         raise NotTwoAxesError(f"grid rendering requires rank 2, got rank {t.rank}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaViolationError
-from .hilbert import MAX_DIMENSION, Ket, make_ket
+from .hilbert import MAX_DIMENSION, Ket, basis_labels, make_ket
 from .render import fmt_real, label_str, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, marginalize, total_sum
@@ -96,7 +96,7 @@ def _document_text(doc: SchemeDocument) -> str:
     elif tensor.rank == 3:
         lines.append(render_cube(tensor, doc.labels).rstrip("\n"))
     else:
-        for label, value in zip(np.ndindex(*tensor.dims), tensor.components.reshape(-1)):
+        for label, value in zip(basis_labels(tensor.dims), tensor.components.reshape(-1)):
             lines.append(f"  {label_str(label, tensor.dims)}  {fmt_real(value)}")
     for axis, per_level in enumerate(doc.marginals):
         pairs = "  ".join(f"{lbl}={fmt_real(v)}" for lbl, v in zip(doc.labels[axis], per_level))
@@ -142,11 +142,22 @@ def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise SchemaViolationError(f"{field}[{k}]", "expected an [re, im] pair of numbers")
-        value = complex(float(entry[0]), float(entry[1]))
+        try:
+            value = complex(float(entry[0]), float(entry[1]))
+        except OverflowError:  # an integer literal beyond the float range
+            raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite") from None
         if not (np.isfinite(value.real) and np.isfinite(value.imag)):
             raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite")
         amps[k] = value
     return amps
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not valid UTF-8 ({exc.reason})") from exc
 
 
 def _load_object(text: str) -> dict:
@@ -209,10 +220,8 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
 
 def read_scenario_file(path: str | os.PathLike) -> Scenario:
     """Read a scenario JSON file; the scenario is named after the file stem."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return parse_scenario(text, name=stem)
+    return parse_scenario(_read_text(path), name=stem)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -233,9 +242,7 @@ def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:
 
 def read_ket_file(path: str | os.PathLike) -> Ket:
     """Read a single-state JSON file: ``{"shape": [...], "amps": [[re, im], ...]}``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    data = _load_object(text)
+    data = _load_object(_read_text(path))
     dims = _parse_shape(_require_field(data, "shape"))
     amps = _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims))
     return make_ket(dims, amps)

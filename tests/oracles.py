@@ -90,3 +90,18 @@ def kron_phased_factors(factor, phased, t):
 def digit_energies(dims, energy_of_label):
     """Energy per flat index, from ``energy_of_label`` of each label's digits."""
     return np.array([energy_of_label(digits(k, dims)) for k in range(math.prod(dims))])
+
+
+def phase_report_loop(state, reference, tol=1e-12):
+    """Per-index relative phase report: for every flat index where both
+    amplitudes exceed ``tol``, ``arg(state_k / reference_k)`` folded into
+    ``(-pi, pi]``, keyed by the index's big-endian digits in index order."""
+    report = {}
+    for k in range(state.dim):
+        s, r = state.amps[k], reference.amps[k]
+        if abs(s) > tol and abs(r) > tol:
+            phase = float(np.angle(s / r)) + 0.0  # folds -0.0 into +0.0
+            if phase <= -math.pi:
+                phase += 2.0 * math.pi
+            report[digits(k, state.dims)] = phase
+    return report

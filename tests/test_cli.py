@@ -229,3 +229,47 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+# ---------------------------------------------------------------- error contract
+
+
+def test_evolve_exact_nan_coupling_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--family", "exact", "--eps", "nan", "--time", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "NonFiniteEnergyError: coupling must be finite, got nan\n"
+
+
+def test_non_utf8_files_are_parse_errors(capsys, tmp_path):
+    data = b'{"shape": [2], "amps": [[1, 0], [0, 0]], "note": "caf\xe9"}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    for argv in (("run", str(path)), ("tensor", "--pre", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"ParseError: byte {data.index(0xE9)}: not valid UTF-8")
+
+
+def test_integer_amplitude_beyond_float_range_is_schema_violation(capsys, tmp_path):
+    pre = tmp_path / "pre.json"
+    pre.write_text('{"shape": [2], "amps": [[1, 0], [0, 1' + "0" * 400 + "]]}")
+    code, _, err = run_cli(capsys, "tensor", "--pre", str(pre))
+    assert code == 1
+    assert err == "SchemaViolationError: amps[1]: amplitude must be finite\n"
+
+
+def test_realize_cap_rejects_huge_axes_before_the_power(capsys):
+    code, out, err = run_cli(capsys, "realize", "--levels", "3", "--axes", "3000000")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: table of 3**3000000 cells exceeds the cap 4096\n"
+
+
+def test_realize_table_at_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "realize", "--levels", "2", "--axes", "12")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 4096 + 1
+    assert lines[-2] == "4095  (1,1,1,1,1,1,1,1,1,1,1,1)"

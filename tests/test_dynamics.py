@@ -371,3 +371,14 @@ def test_phase_report_range():
     phase = phase_report(a, b)[(0,)]
     assert -math.pi < phase <= math.pi
     assert phase == pytest.approx(-math.pi + 0.1)
+
+
+def test_non_finite_energies_are_domain_errors():
+    from weaktensor import DiagonalHamiltonian, NonFiniteEnergyError, WeakTensorError
+
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteEnergyError) as info:
+            HamiltonianTerm(bad, ProjectorProduct())
+        assert isinstance(info.value, WeakTensorError) and isinstance(info.value, ValueError)
+        with pytest.raises(NonFiniteEnergyError):
+            DiagonalHamiltonian((2,), [0.0, bad])

@@ -9,6 +9,7 @@ from weaktensor import (
     NotThreeAxesError,
     NotTwoAxesError,
     UnsupportedRankError,
+    WeakValueTensor,
     build_named,
     custom,
     make_ket,
@@ -175,3 +176,23 @@ def test_render_label_mismatch():
     tensor, _ = named_tensor("cheshire")
     with pytest.raises(LabelMismatchError):
         render_grid(tensor, [["a", "b", "c"], ["L", "R"]])
+
+
+def test_imaginary_warning_names_eight_cells_then_counts():
+    # imaginary parts 0.01 * k on a 3 x 4 grid; cells (0,0) and (1,2) are
+    # real, so 10 cells are flagged and the last two are only counted
+    imag = 0.01 * np.arange(12)
+    imag[6] = 0.0
+    components = np.arange(12) / 66 + 1j * imag
+    tensor = WeakValueTensor((3, 4), components, "weak", 1.0 + 0.0j)
+    lines = render_grid(tensor, (("a", "b", "c"), ("w", "x", "y", "z"))).splitlines()
+    assert lines[-1] == (
+        "warning: imaginary parts above 1e-09: "
+        "(a,x) imag=+0.0100; (a,y) imag=+0.0200; (a,z) imag=+0.0300; "
+        "(b,w) imag=+0.0400; (b,x) imag=+0.0500; (b,z) imag=+0.0700; "
+        "(c,w) imag=+0.0800; (c,x) imag=+0.0900; and 2 more"
+    )
+    # exactly eight flagged cells are all named, with no count
+    eight = WeakValueTensor((2, 2, 2), 1j * np.arange(1, 9), "weak", 1.0 + 0.0j)
+    warning = render_cube(eight).splitlines()[-1]
+    assert warning.count("imag=") == 8 and "more" not in warning
