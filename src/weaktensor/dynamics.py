@@ -26,7 +26,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    InvalidCountError,
     MissingParamError,
+    NonFiniteAmplitudeError,
     NonFiniteEnergyError,
     ShapeMismatchError,
     UnknownFamilyError,
@@ -99,6 +101,12 @@ def evolve(state: Ket, h: DiagonalHamiltonian, t: float) -> Ket:
     """Exact evolution: amplitude k is multiplied by exp(-i * E_k * t)."""
     if state.dims != h.dims:
         raise ShapeMismatchError(f"state shape {state.dims} differs from {h.dims}")
+    # a non-finite angle E_k * t makes a NaN amplitude: refuse it up front,
+    # without numpy's overflow / invalid-value warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(h.energies * t).all()
+    if not finite:
+        raise NonFiniteAmplitudeError("amplitudes must be finite")
     return Ket(state.dims, state.amps * np.exp(-1j * h.energies * t))
 
 
@@ -207,6 +215,8 @@ def product_form(
     fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
     copies = []
     for index, rate in fam.phased:
+        if not math.isfinite(rate(values) * t):  # exp would make a NaN amplitude
+            raise NonFiniteAmplitudeError("amplitudes must be finite")
         amps = fam.factor.amps.copy()
         amps[index] *= np.exp(-1j * rate(values) * t)
         copies.append(Ket(fam.factor.dims, amps))
@@ -226,7 +236,7 @@ def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> Diagon
     ``|10>|10>`` label and ``eps2`` on the joint ``|01>|01>`` label, with any
     further pairs uncoupled."""
     if n_pairs < 2:
-        raise ValueError("need at least the two coupled pairs")
+        raise InvalidCountError("need at least the two coupled pairs")
     return build_hamiltonian(
         (2,) * (2 * n_pairs),
         [HamiltonianTerm(eps1, _all_pairs_10_selector(2)), HamiltonianTerm(eps2, _PAIRS_01)],

@@ -54,8 +54,8 @@ class OrthogonalSelectionError(WeakTensorError):
     values are undefined."""
 
 
-class InvalidCountError(WeakTensorError):
-    """A party or level count is below the supported minimum."""
+class InvalidCountError(WeakTensorError, ValueError):
+    """A party, level or pair count is below the supported minimum."""
 
 
 class WrongScenarioError(WeakTensorError):
@@ -68,6 +68,10 @@ class LabelMismatchError(WeakTensorError):
 
 class UnknownFamilyError(WeakTensorError):
     """Unknown product-form family name."""
+
+
+class UnknownNameError(WeakTensorError, ValueError):
+    """Unknown Bell kind, scenario name, output format or Pauli letter."""
 
 
 class MissingParamError(WeakTensorError):

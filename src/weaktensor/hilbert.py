@@ -29,6 +29,7 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
     SubsystemOutOfRangeError,
+    UnknownNameError,
     ZeroVectorError,
 )
 
@@ -241,7 +242,7 @@ def apply_pauli_string(letters: str, k: Ket) -> Ket:
         )
     bad = set(letters) - set(PAULI_LETTERS)
     if bad:
-        raise ValueError(f"unknown Pauli letters: {sorted(bad)}")
+        raise UnknownNameError(f"unknown Pauli letters: {sorted(bad)}")
     out = k.amps.reshape(k.dims).copy()
     lo = [slice(None)] * len(k.dims)
     hi = [slice(None)] * len(k.dims)

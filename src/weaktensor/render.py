@@ -41,8 +41,8 @@ def fmt_real(value: complex) -> str:
 def label_str(label: Sequence[int], dims: Sequence[int]) -> str:
     """Ket notation of a basis label; digits are comma-separated once any
     dimension exceeds 10."""
-    joiner = "" if all(d <= 10 for d in dims) else ","
-    return "|" + joiner.join(str(l) for l in label) + ">"
+    joiner = "" if max(dims) <= 10 else ","
+    return "|" + joiner.join(map(str, label)) + ">"
 
 
 def _fmt_full(value: complex) -> str:

@@ -26,7 +26,9 @@ from .errors import (
     InvalidCountError,
     LabelMismatchError,
     MissingParamError,
+    NonFiniteAmplitudeError,
     ShapeMismatchError,
+    UnknownNameError,
     WrongScenarioError,
 )
 from .hilbert import Ket, check_dims, make_ket, total_dim
@@ -95,7 +97,7 @@ _BELL = {
 def bell(kind: str) -> Scenario:
     """Two-qubit Bell state scenario; kind is one of psi+, psi-, phi+, phi-."""
     if kind not in _BELL:
-        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL)}")
+        raise UnknownNameError(f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL)}")
     name, amps = _BELL[kind]
     state = make_ket((2, 2), np.array(amps) / math.sqrt(2.0))
     return Scenario(name, state, None, default_labels((2, 2)))
@@ -180,6 +182,8 @@ def hardy_gamma(gamma: float) -> Scenario:
     deformation of the paradox, not a limit recovery), and gamma = 0 is
     rejected as an orthogonal selection.
     """
+    if not math.isfinite(gamma):  # exp would make a NaN amplitude
+        raise NonFiniteAmplitudeError("amplitudes must be finite")
     pre = make_ket((2, 2), [1.0, np.exp(1j * gamma), 1.0, 1.0])
     post = make_ket((2, 2), [1.0, -1.0, -1.0, 1.0])
     return Scenario(
@@ -247,5 +251,5 @@ def build_named(
 ) -> Scenario:
     """Build a scenario from its CLI name."""
     if name not in _NAMED:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+        raise UnknownNameError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
     return _NAMED[name](gamma, parties, levels)

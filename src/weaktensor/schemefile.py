@@ -24,45 +24,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaViolationError
+from .errors import ParseError, SchemaViolationError, UnknownNameError
 from .hilbert import MAX_DIMENSION, Ket, basis_labels, make_ket
 from .render import fmt_real, label_str, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, marginalize, total_sum
 
 
-def _pair(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
+def _pairs(values) -> list[list[float]]:
+    # one [re, im] per complex value of a scalar or array, bit-exact (-0.0 too)
+    return np.asarray(values, np.complex128).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeDocument:
-    """Serializable snapshot of a computed tensor for one scenario."""
+    """Serializable snapshot of a computed tensor for one scenario; ``==``
+    is identity."""
 
     scenario: str
     dims: tuple[int, ...]
     labels: tuple[tuple[str, ...], ...]
     kind: str
     overlap: complex
-    components: tuple[complex, ...]  # flat, big-endian order
+    components: np.ndarray  # the tensor's read-only array, flat (a view)
     marginals: tuple[tuple[complex, ...], ...]  # one tuple per axis
     total: complex
 
     def to_tensor(self) -> WeakValueTensor:
-        return WeakValueTensor(self.dims, np.array(self.components), self.kind, self.overlap)
+        return WeakValueTensor(self.dims, self.components, self.kind, self.overlap)
 
 
-def scheme_document(scenario: Scenario, tensor: WeakValueTensor | None = None) -> SchemeDocument:
-    """Compute (or adopt) the scenario's tensor and package it for output."""
-    if tensor is None:
-        tensor = scenario.tensor()
+def scheme_document(scenario: Scenario) -> SchemeDocument:
+    """Compute the scenario's tensor and package it for output."""
+    tensor = scenario.tensor()
     return SchemeDocument(
         scenario=scenario.name,
         dims=tensor.dims,
         labels=scenario.axis_labels,
         kind=tensor.kind,
         overlap=tensor.overlap,
-        components=tuple(complex(v) for v in tensor.components.reshape(-1)),
+        components=tensor.components.reshape(-1),
         marginals=tuple(tuple(marginalize(tensor, axis)) for axis in range(tensor.rank)),
         total=total_sum(tensor),
     )
@@ -74,10 +75,10 @@ def document_to_json(doc: SchemeDocument) -> str:
         "shape": list(doc.dims),
         "labels": [list(axis) for axis in doc.labels],
         "kind": doc.kind,
-        "overlap": _pair(doc.overlap),
-        "components": [_pair(v) for v in doc.components],
-        "marginals": [[_pair(v) for v in axis] for axis in doc.marginals],
-        "total": _pair(doc.total),
+        "overlap": _pairs(doc.overlap)[0],
+        "components": _pairs(doc.components),
+        "marginals": [_pairs(axis) for axis in doc.marginals],
+        "total": _pairs(doc.total)[0],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -85,19 +86,17 @@ def document_to_json(doc: SchemeDocument) -> str:
 def _document_text(doc: SchemeDocument) -> str:
     # header, then the grid (rank 2), the cube (rank 3) or one line per
     # component, then the per-axis marginals and the total
-    tensor = doc.to_tensor()
     lines = [
         f"scenario: {doc.scenario}",
         f"kind: {doc.kind}",
         f"overlap: {doc.overlap.real + 0.0:+.4f}{doc.overlap.imag + 0.0:+.4f}i",
     ]
-    if tensor.rank == 2:
-        lines.append(render_grid(tensor, doc.labels).rstrip("\n"))
-    elif tensor.rank == 3:
-        lines.append(render_cube(tensor, doc.labels).rstrip("\n"))
+    block = {2: render_grid, 3: render_cube}.get(len(doc.dims))
+    if block is not None:
+        lines.append(block(doc.to_tensor(), doc.labels).rstrip("\n"))
     else:
-        for label, value in zip(basis_labels(tensor.dims), tensor.components.reshape(-1)):
-            lines.append(f"  {label_str(label, tensor.dims)}  {fmt_real(value)}")
+        for label, value in zip(basis_labels(doc.dims), doc.components):
+            lines.append(f"  {label_str(label, doc.dims)}  {fmt_real(value)}")
     for axis, per_level in enumerate(doc.marginals):
         pairs = "  ".join(f"{lbl}={fmt_real(v)}" for lbl, v in zip(doc.labels[axis], per_level))
         lines.append(f"axis {axis} marginals: {pairs}")
@@ -116,7 +115,7 @@ def render_document(doc: SchemeDocument, fmt: str) -> bytes:
         return _document_text(doc).encode("utf-8")
     if fmt == "svg":
         return render_svg(doc.to_tensor(), doc.labels)
-    raise ValueError(f"unknown format {fmt!r}; expected json, text, or svg")
+    raise UnknownNameError(f"unknown format {fmt!r}; expected json, text, or svg")
 
 
 def write_scheme(doc: SchemeDocument, path: str | os.PathLike, fmt: str = "json") -> None:
@@ -227,10 +226,10 @@ def read_scenario_file(path: str | os.PathLike) -> Scenario:
 def scenario_to_json(scenario: Scenario) -> str:
     payload: dict = {
         "shape": list(scenario.dims),
-        "pre": {"amps": [_pair(v) for v in scenario.pre.amps]},
+        "pre": {"amps": _pairs(scenario.pre.amps)},
     }
     if scenario.post is not None:
-        payload["post"] = {"amps": [_pair(v) for v in scenario.post.amps]}
+        payload["post"] = {"amps": _pairs(scenario.post.amps)}
     payload["labels"] = [list(axis) for axis in scenario.axis_labels]
     return json.dumps(payload, indent=2) + "\n"
 

@@ -105,3 +105,9 @@ def phase_report_loop(state, reference, tol=1e-12):
                 phase += 2.0 * math.pi
             report[digits(k, state.dims)] = phase
     return report
+
+
+def json_pairs_loop(values):
+    """Per-element ``[re, im]`` transcription of complex values in flat order:
+    ``[float(v.real), float(v.imag)]`` for each element, one at a time."""
+    return [[float(v.real), float(v.imag)] for v in np.asarray(values).reshape(-1)]

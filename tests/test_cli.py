@@ -273,3 +273,50 @@ def test_realize_table_at_the_cap(capsys):
     lines = out.splitlines()
     assert len(lines) == 1 + 4096 + 1
     assert lines[-2] == "4095  (1,1,1,1,1,1,1,1,1,1,1,1)"
+
+
+def count_evolutions(monkeypatch):
+    import weaktensor.cli as cli
+
+    calls = {"product_form": [], "exact_counterpart": []}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(family, t, _name=name, _original=original, **params):
+            calls[_name].append(t)
+            return _original(family, t, **params)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_evolve_compare_reuses_the_listed_state(capsys, monkeypatch):
+    calls = count_evolutions(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "evolve", "--family", "psit1", "--eps", "1", "--time", "0.5", "--compare"
+    )
+    assert code == 0
+    assert calls == {"product_form": [0.5, 0.0], "exact_counterpart": [0.5]}
+    assert "exact vs product form:" in out
+
+    calls = count_evolutions(monkeypatch)
+    code, exact_out, _ = run_cli(
+        capsys, "evolve", "--family", "exact", "--eps", "1", "--time", "0.5", "--compare"
+    )
+    assert code == 0
+    assert calls == {"product_form": [0.5], "exact_counterpart": [0.5, 0.0]}
+    # the same (exact, form) pair is compared whichever side is listed
+    assert exact_out.split("exact vs product form:")[1] == out.split("exact vs product form:")[1]
+
+
+def test_non_finite_phase_angles_are_domain_errors(capsys):
+    for argv in (
+        ("evolve", "--family", "psit1", "--eps", "1", "--time", "inf"),
+        ("evolve", "--family", "exact", "--eps", "1", "--time", "inf"),
+        ("evolve", "--family", "exact", "--eps", "1e308", "--time", "1e10"),
+        ("run", "hardy-gamma", "--gamma", "inf"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "NonFiniteAmplitudeError: amplitudes must be finite\n"

@@ -196,3 +196,13 @@ def test_imaginary_warning_names_eight_cells_then_counts():
     eight = WeakValueTensor((2, 2, 2), 1j * np.arange(1, 9), "weak", 1.0 + 0.0j)
     warning = render_cube(eight).splitlines()[-1]
     assert warning.count("imag=") == 8 and "more" not in warning
+
+
+def test_label_str_separates_digits_once_a_dimension_exceeds_ten():
+    from weaktensor.render import label_str
+
+    assert label_str((1, 0, 9), (2, 2, 10)) == "|109>"
+    assert label_str((1, 0, 9), (2, 2, 11)) == "|1,0,9>"
+    assert label_str((10, 0), (11, 2)) == "|10,0>"
+    assert label_str((7,), (10,)) == "|7>"
+    assert label_str((7,), (11,)) == "|7>"

@@ -133,7 +133,7 @@ def test_scheme_document_contents():
     assert doc.scenario == "hardy"
     assert doc.kind == "weak"
     assert doc.dims == (2, 2)
-    assert doc.components == (1.0 + 0j, -0.0 + 0j, -1.0 + 0j, 1.0 + 0j)
+    assert doc.components.tolist() == [1.0 + 0j, -0.0 + 0j, -1.0 + 0j, 1.0 + 0j]
     assert doc.total == pytest.approx(1.0)
     np.testing.assert_allclose(doc.marginals[0], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(doc.marginals[1], [0.0, 1.0], atol=1e-12)
