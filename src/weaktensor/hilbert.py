@@ -164,7 +164,21 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 
 def norm(k: Ket) -> float:
-    return float(np.linalg.norm(k.amps))
+    """Euclidean norm, finite whenever the true norm is.
+
+    When the sum of squares overflows (amplitudes above about 1e154), the
+    norm is taken again over amplitudes scaled by an exact power of two that
+    brings the largest magnitude into [0.5, 1), then scaled back; binary
+    scaling is exact, so only that path changes.
+    """
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(k.amps))
+        if math.isfinite(n):
+            return n
+        parts = k.amps.view(np.float64)
+        _, exponent = np.frexp(np.abs(parts).max())
+        scaled = np.ldexp(parts, -exponent).view(np.complex128)
+        return float(np.ldexp(np.linalg.norm(scaled), exponent))
 
 
 def normalize(k: Ket) -> Ket:

@@ -11,8 +11,12 @@ Scenario files are JSON objects with the schema::
 
 A scheme document is the computed output: the tensor components, per-axis
 marginals, the selection overlap and the total sum, serialized as JSON with
-complex numbers as ``[re, im]`` pairs. Python's shortest-repr float
-formatting makes the JSON round trip bit-exact for finite doubles.
+complex numbers as ``[re, im]`` pairs. Both writers give the bytes of
+``json.dumps(payload, indent=2)`` (``NaN`` / ``Infinity`` for non-finite
+values), but the long pair lists are written by one list writer,
+`_pair_list`, instead of the pure-Python ``indent`` encoder. Python's
+shortest-repr float formatting makes the JSON round trip bit-exact for finite
+doubles.
 """
 
 from __future__ import annotations
@@ -69,6 +73,62 @@ def scheme_document(scenario: Scenario) -> SchemeDocument:
     )
 
 
+def _pair_list(values: np.ndarray, depth: int) -> str:
+    """``json.dumps(indent=2)`` of the ``[re, im]`` pairs of finite complex
+    ``values``, for a list opening at nesting ``depth``: the same bytes, with
+    no Python list built per pair."""
+    floats = np.asarray(values, np.complex128).reshape(-1).view(np.float64)
+    if not floats.size:
+        return "[]"
+    outer = "  " * depth
+    inner = outer + "  "
+    number = inner + "  "
+    pair = f"{inner}[\n{number}{{}},\n{number}{{}}\n{inner}]"
+    reprs = iter(map(float.__repr__, floats.tolist()))
+    return "[\n" + ",\n".join(map(pair.format, reprs, reprs)) + f"\n{outer}]"
+
+
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, where a complex array (a
+    value of ``payload`` or of a dict in it) stands for the list of its
+    ``[re, im]`` pairs.
+
+    When every array is finite, ``json`` writes a placeholder ``[]`` for
+    each and `_pair_list`'s list is spliced in after the array's key path,
+    matched key by key in output order with each key's newline and indent
+    (a newline inside a JSON string is escaped, so no name or label can
+    match). One non-finite value sends the whole payload through
+    ``json.dumps``, which writes ``NaN`` / ``Infinity`` where ``repr``
+    writes ``nan`` / ``inf``.
+    """
+    arrays = []  # (owning dict, key path, array), in output order
+
+    def collect(obj: dict, path: tuple[str, ...]) -> None:
+        for key, value in obj.items():
+            if isinstance(value, dict):
+                collect(value, (*path, key))
+            elif isinstance(value, np.ndarray):
+                arrays.append((obj, (*path, key), value))
+
+    collect(payload, ())
+    finite = all(np.isfinite(values).all() for _, _, values in arrays)
+    for obj, path, values in arrays:
+        obj[path[-1]] = [] if finite else _pairs(values)
+    text = json.dumps(payload, indent=2) + "\n"
+    if not finite:
+        return text
+    pieces, done = [], 0
+    for _, path, values in arrays:
+        at = done
+        for depth, key in enumerate(path, 1):
+            key_line = f'\n{"  " * depth}"{key}": '
+            at = text.index(key_line, at) + len(key_line)
+        pieces += [text[done:at], _pair_list(values, len(path))]
+        done = at + len("[]")
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def document_to_json(doc: SchemeDocument) -> str:
     payload = {
         "scenario": doc.scenario,
@@ -76,11 +136,11 @@ def document_to_json(doc: SchemeDocument) -> str:
         "labels": [list(axis) for axis in doc.labels],
         "kind": doc.kind,
         "overlap": _pairs(doc.overlap)[0],
-        "components": _pairs(doc.components),
+        "components": np.asarray(doc.components),
         "marginals": [_pairs(axis) for axis in doc.marginals],
         "total": _pairs(doc.total)[0],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps(payload)
 
 
 def _document_text(doc: SchemeDocument) -> str:
@@ -226,12 +286,12 @@ def read_scenario_file(path: str | os.PathLike) -> Scenario:
 def scenario_to_json(scenario: Scenario) -> str:
     payload: dict = {
         "shape": list(scenario.dims),
-        "pre": {"amps": _pairs(scenario.pre.amps)},
+        "pre": {"amps": scenario.pre.amps},
     }
     if scenario.post is not None:
-        payload["post"] = {"amps": _pairs(scenario.post.amps)}
+        payload["post"] = {"amps": scenario.post.amps}
     payload["labels"] = [list(axis) for axis in scenario.axis_labels]
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps(payload)
 
 
 def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:

@@ -41,6 +41,16 @@ def selection_overlap(pre: Ket, post: Ket) -> complex:
     return overlap
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """True when no writeable array can change ``array``'s memory: it and
+    every array it is a view of are read-only, down to the owning array."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
 @dataclass(frozen=True, eq=False)
 class WeakValueTensor:
     """Complex components indexed by joint basis label.
@@ -58,8 +68,18 @@ class WeakValueTensor:
     overlap: complex
 
     def __post_init__(self):
-        components = np.array(self.components, dtype=np.complex128).reshape(self.dims)
-        components.setflags(write=False)
+        # an array that is read-only down to its owner is kept as a view;
+        # anything writeable or of another dtype is copied, then frozen
+        components = self.components
+        if not (
+            isinstance(components, np.ndarray)
+            and components.dtype == np.complex128
+            and _frozen(components)
+        ):
+            components = np.array(components, dtype=np.complex128)
+            components.setflags(write=False)
+        components = components.reshape(self.dims)
+        components.setflags(write=False)  # a reshape that had to copy
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "components", components)
 

@@ -320,3 +320,17 @@ def test_non_finite_phase_angles_are_domain_errors(capsys):
         assert code == 1, argv
         assert out == ""
         assert err == "NonFiniteAmplitudeError: amplitudes must be finite\n"
+
+
+def test_tensor_of_amplitudes_whose_squares_overflow(capsys, tmp_path):
+    big, up = tmp_path / "big.json", tmp_path / "up.json"
+    write_ket(big, [2], [[1e200, 0], [1e200, 0]])
+    write_ket(up, [2], [[1, 0], [0, 0]])
+    code, out, err = run_cli(capsys, "tensor", "--pre", str(big))
+    assert (code, err) == (0, "")
+    assert out.count("+0.5000") == 4  # two components, two marginals
+    assert "total: +1.0000" in out
+
+    code, out, err = run_cli(capsys, "tensor", "--pre", str(big), "--post", str(up))
+    assert (code, err) == (0, "")
+    assert "  |0>  +1.0000\n  |1>  +0.0000\n" in out

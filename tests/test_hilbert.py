@@ -203,6 +203,22 @@ def test_norm_values():
     assert norm(hardy_pre) == pytest.approx(math.sqrt(3.0))
 
 
+def test_norm_survives_a_sum_of_squares_beyond_the_float_range():
+    for scale in (1e154, 1e200, 1e300, 1.7976931348623157e308 / 4):
+        k = make_ket((2,), [scale, complex(0.0, scale)])
+        assert norm(k) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+    # binary scaling is exact: a 3-4-5 triangle scaled by 2**660 stays exact
+    big = make_ket((2, 2), [math.ldexp(3, 660), math.ldexp(4, 660) * 1j, 0.0, 1e-300])
+    assert norm(big) == math.ldexp(5, 660)
+
+
+def test_norm_ordinary_path_is_numpy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for dims in [(2,), (3, 2), (2, 2, 5)]:
+        amps = random_state(rng, dims) * 10.0 ** rng.integers(-150, 150)
+        assert norm(make_ket(dims, amps)) == float(np.linalg.norm(amps))
+
+
 def test_normalize():
     k = normalize(make_ket((2,), [3.0, 4.0]))
     assert norm(k) == pytest.approx(1.0)

@@ -9,10 +9,13 @@ from weaktensor import (
     ProjectorProduct,
     ShapeMismatchError,
     SubsystemOutOfRangeError,
+    WeakValueTensor,
     ZeroVectorError,
+    build_named,
     expectation_tensor,
     make_ket,
     marginalize,
+    scheme_document,
     total_sum,
     weak_tensor,
     weak_value,
@@ -294,3 +297,47 @@ def test_distinct_tensors_with_identical_marginals():
     for axis in (0, 1):
         np.testing.assert_allclose(marginalize(t_a, axis), marginalize(t_b, axis), atol=1e-12)
     assert np.max(np.abs(t_a.components - t_b.components)) > 0.5
+
+
+def test_tensor_keeps_a_read_only_complex_array_as_a_view():
+    doc = scheme_document(build_named("hardy"))
+    tensor = doc.to_tensor()
+    assert np.shares_memory(tensor.components, doc.components)
+    assert tensor.components.shape == doc.dims
+    assert not tensor.components.flags.writeable
+
+
+def test_tensor_copies_writeable_input():
+    source = np.array([1 + 0j, -1 + 0j, 0.5j, 0.5 - 0.5j])
+    tensor = WeakValueTensor((2, 2), source, "weak", 1 + 0j)
+    source[:] = 7.0
+    np.testing.assert_array_equal(tensor.components, [[1, -1], [0.5j, 0.5 - 0.5j]])
+    assert not tensor.components.flags.writeable
+
+
+def test_tensor_copies_a_read_only_view_of_writeable_memory():
+    source = np.array([1 + 0j, 0j, 0j, 1 + 0j])
+    view = source.view()
+    view.setflags(write=False)
+    tensor = WeakValueTensor((2, 2), view, "weak", 1 + 0j)
+    source[0] = 7.0
+    assert tensor.components[0, 0] == 1.0
+
+
+def test_tensor_converts_real_input_to_complex():
+    source = np.array([0.25, 0.75])
+    source.setflags(write=False)
+    tensor = WeakValueTensor((2,), source, "expectation", 1 + 0j)
+    assert tensor.components.dtype == np.complex128
+    np.testing.assert_array_equal(tensor.components, [0.25, 0.75])
+    assert not tensor.components.flags.writeable
+    assert not np.shares_memory(tensor.components, source)
+
+
+def test_tensor_of_a_read_only_array_that_must_be_copied_to_reshape():
+    frozen = np.arange(4, dtype=np.complex128)
+    frozen.setflags(write=False)
+    transposed = frozen.reshape(2, 2).T  # no flat view of this order exists
+    tensor = WeakValueTensor((4,), transposed, "weak", 1 + 0j)
+    np.testing.assert_array_equal(tensor.components, [0, 2, 1, 3])
+    assert not tensor.components.flags.writeable
