@@ -74,7 +74,7 @@ def scheme_document(scenario: Scenario) -> SchemeDocument:
 
 
 def _pair_list(values: np.ndarray, depth: int) -> str:
-    """``json.dumps(indent=2)`` of the ``[re, im]`` pairs of finite complex
+    """``json.dumps(indent=2)`` of the ``[re, im]`` pairs of complex
     ``values``, for a list opening at nesting ``depth``: the same bytes, with
     no Python list built per pair."""
     floats = np.asarray(values, np.complex128).reshape(-1).view(np.float64)
@@ -85,48 +85,12 @@ def _pair_list(values: np.ndarray, depth: int) -> str:
     number = inner + "  "
     pair = f"{inner}[\n{number}{{}},\n{number}{{}}\n{inner}]"
     reprs = iter(map(float.__repr__, floats.tolist()))
-    return "[\n" + ",\n".join(map(pair.format, reprs, reprs)) + f"\n{outer}]"
-
-
-def _dumps(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, where a complex array (a
-    value of ``payload`` or of a dict in it) stands for the list of its
-    ``[re, im]`` pairs.
-
-    When every array is finite, ``json`` writes a placeholder ``[]`` for
-    each and `_pair_list`'s list is spliced in after the array's key path,
-    matched key by key in output order with each key's newline and indent
-    (a newline inside a JSON string is escaped, so no name or label can
-    match). One non-finite value sends the whole payload through
-    ``json.dumps``, which writes ``NaN`` / ``Infinity`` where ``repr``
-    writes ``nan`` / ``inf``.
-    """
-    arrays = []  # (owning dict, key path, array), in output order
-
-    def collect(obj: dict, path: tuple[str, ...]) -> None:
-        for key, value in obj.items():
-            if isinstance(value, dict):
-                collect(value, (*path, key))
-            elif isinstance(value, np.ndarray):
-                arrays.append((obj, (*path, key), value))
-
-    collect(payload, ())
-    finite = all(np.isfinite(values).all() for _, _, values in arrays)
-    for obj, path, values in arrays:
-        obj[path[-1]] = [] if finite else _pairs(values)
-    text = json.dumps(payload, indent=2) + "\n"
-    if not finite:
-        return text
-    pieces, done = [], 0
-    for _, path, values in arrays:
-        at = done
-        for depth, key in enumerate(path, 1):
-            key_line = f'\n{"  " * depth}"{key}": '
-            at = text.index(key_line, at) + len(key_line)
-        pieces += [text[done:at], _pair_list(values, len(path))]
-        done = at + len("[]")
-    pieces.append(text[done:])
-    return "".join(pieces)
+    body = ",\n".join(map(pair.format, reprs, reprs))
+    if not np.isfinite(floats).all():
+        # repr writes nan / inf where json writes NaN / Infinity; a finite
+        # float's repr holds only digits, ".", "e", "+" and "-"
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n{body}\n{outer}]"
 
 
 def document_to_json(doc: SchemeDocument) -> str:
@@ -136,11 +100,14 @@ def document_to_json(doc: SchemeDocument) -> str:
         "labels": [list(axis) for axis in doc.labels],
         "kind": doc.kind,
         "overlap": _pairs(doc.overlap)[0],
-        "components": np.asarray(doc.components),
+        "components": [],  # spliced in below
         "marginals": [_pairs(axis) for axis in doc.marginals],
         "total": _pairs(doc.total)[0],
     }
-    return _dumps(payload)
+    text = json.dumps(payload, indent=2) + "\n"
+    # JSON escapes a newline inside a string, so only the key's own line matches
+    key = '\n  "components": '
+    return text.replace(key + "[]", key + _pair_list(doc.components, 1), 1)
 
 
 def _document_text(doc: SchemeDocument) -> str:
@@ -284,14 +251,16 @@ def read_scenario_file(path: str | os.PathLike) -> Scenario:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    payload: dict = {
-        "shape": list(scenario.dims),
-        "pre": {"amps": scenario.pre.amps},
-    }
+    states = [scenario.pre] if scenario.post is None else [scenario.pre, scenario.post]
+    payload: dict = {"shape": list(scenario.dims), "pre": {"amps": []}}  # spliced in below
     if scenario.post is not None:
-        payload["post"] = {"amps": scenario.post.amps}
+        payload["post"] = {"amps": []}
     payload["labels"] = [list(axis) for axis in scenario.axis_labels]
-    return _dumps(payload)
+    text = json.dumps(payload, indent=2) + "\n"
+    key = '\n    "amps": '  # as in document_to_json; pre's line comes first
+    for ket in states:
+        text = text.replace(key + "[]", key + _pair_list(ket.amps, 2), 1)
+    return text
 
 
 def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:
