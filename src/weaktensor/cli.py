@@ -28,8 +28,8 @@ import numpy as np
 from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report, product_form
 from .errors import WeakTensorError
 from .hilbert import basis_labels
-from .realization import cell_to_basis, diagonal_cells
-from .render import label_str
+from .realization import diagonal_cells
+from .render import label_str, label_strs
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
 from .schemefile import read_ket_file, read_scenario_file, render_document, scheme_document
 
@@ -97,11 +97,10 @@ def _cmd_evolve(args) -> int:
     lines = [f"family: {family}", f"time: {args.time:g}"]
     lines.append("amplitudes:")
     shown = np.abs(state.amps) > 1e-12
-    labels = itertools.compress(basis_labels(state.dims), shown)
-    for label, value in zip(labels, state.amps[shown]):
-        lines.append(
-            f"  {label_str(label, state.dims)}  {value.real + 0.0:+.6f}{value.imag + 0.0:+.6f}i"
-        )
+    labels = itertools.compress(label_strs(state.dims), shown)
+    # + 0.0 folds IEEE -0.0 into +0.0
+    reals, imags = ((part[shown] + 0.0).tolist() for part in (state.amps.real, state.amps.imag))
+    lines.extend(map("  {}  {:+.6f}{:+.6f}i".format, labels, reals, imags))
     lines.append("relative phases vs t=0:")
     for label, phase in phase_report(state, reference).items():
         lines.append(f"  {label_str(label, state.dims)}  {phase:+.6f}")
@@ -117,6 +116,10 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _digit_tuple(label) -> str:
+    return "(" + ",".join(map(str, label)) + ")"
+
+
 def _cmd_realize(args) -> int:
     levels, axes = args.levels, args.axes
     if levels < 2 or axes < 1:
@@ -125,12 +128,11 @@ def _cmd_realize(args) -> int:
     # cells; testing it first avoids computing a huge power
     if axes >= _REALIZE_TABLE_CAP.bit_length() or levels**axes > _REALIZE_TABLE_CAP:
         raise _UsageError(f"table of {levels}**{axes} cells exceeds the cap {_REALIZE_TABLE_CAP}")
+    dims = (levels,) * axes
     print("cell  basis")
-    for cell in range(levels**axes):
-        label = cell_to_basis(cell, levels, axes)
-        print(f"{cell:>4}  ({','.join(str(d) for d in label)})")
-    diag = diagonal_cells((levels,) * axes)
-    print("diagonal cells: " + "  ".join("(" + ",".join(str(d) for d in l) + ")" for l in diag))
+    for cell, label in enumerate(basis_labels(dims)):
+        print(f"{cell:>4}  {_digit_tuple(label)}")
+    print("diagonal cells: " + "  ".join(map(_digit_tuple, diagonal_cells(dims))))
     return 0
 
 
@@ -199,10 +201,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except WeakTensorError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WeakTensorError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

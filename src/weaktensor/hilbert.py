@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionOverflowError,
     DuplicateSubsystemError,
+    LabelMismatchError,
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteAmplitudeError,
@@ -54,6 +55,19 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         raise DimensionOverflowError(
             f"total dimension {math.prod(out)} exceeds the ceiling {MAX_DIMENSION}"
         )
+    return out
+
+
+def check_labels(
+    labels: Sequence[Sequence[object]] | None, dims: Sequence[int]
+) -> tuple[tuple[str, ...], ...]:
+    """Per-axis level names as strings, one tuple per axis of ``dims``;
+    ``None`` gives the digit labels ``("0", "1", ...)``."""
+    if labels is None:
+        return tuple(tuple(map(str, range(d))) for d in dims)
+    out = tuple(tuple(str(l) for l in axis) for axis in labels)
+    if len(out) != len(dims) or any(len(axis) != d for axis, d in zip(out, dims)):
+        raise LabelMismatchError(f"labels {out} do not match shape {tuple(dims)}")
     return out
 
 

@@ -6,20 +6,22 @@ formatting), so golden-file tests are valid.
 
 Orientation: axis 0 is rendered as rows and axis 1 as columns; rank-3
 tensors are rendered as one rank-2 slice per level of axis 0.
+
+Text cells and ket labels are formatted in one pass per block:
+:func:`fmt_reals` formats a whole array of cells or sums, and
+:func:`label_strs` writes the ket label of every basis state of a shape.
+:func:`fmt_real` and :func:`label_str` give the same strings for one value.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    LabelMismatchError,
-    NotThreeAxesError,
-    NotTwoAxesError,
-    UnsupportedRankError,
-)
+from .errors import NotThreeAxesError, NotTwoAxesError, UnsupportedRankError
+from .hilbert import check_labels
 from .weakvalues import WeakValueTensor, marginalize, total_sum
 
 #: Cells whose imaginary part exceeds this trigger the grid warning line.
@@ -38,28 +40,33 @@ def fmt_real(value: complex) -> str:
     return f"{value.real + 0.0:+.4f}"  # +0.0 folds IEEE -0.0 into +0.0
 
 
+def fmt_reals(values) -> list[str]:
+    """:func:`fmt_real` of every element of a scalar or array, in flat order."""
+    return list(map("{:+.4f}".format, (np.asarray(values).real + 0.0).reshape(-1).tolist()))
+
+
+def _joiner(dims: Sequence[int]) -> str:
+    # digits are comma-separated once any dimension exceeds 10
+    return "" if max(dims) <= 10 else ","
+
+
 def label_str(label: Sequence[int], dims: Sequence[int]) -> str:
     """Ket notation of a basis label; digits are comma-separated once any
     dimension exceeds 10."""
-    joiner = "" if max(dims) <= 10 else ","
-    return "|" + joiner.join(map(str, label)) + ">"
+    return "|" + _joiner(dims).join(map(str, label)) + ">"
+
+
+def label_strs(dims: Sequence[int]) -> Iterator[str]:
+    """:func:`label_str` of every basis label of ``dims``, in flat-index
+    order (the labels of :func:`~weaktensor.hilbert.basis_labels`)."""
+    digits = [list(map(str, range(d))) for d in dims]
+    return map("|{}>".format, map(_joiner(dims).join, itertools.product(*digits)))
 
 
 def _fmt_full(value: complex) -> str:
     if abs(value.imag) > IMAG_WARN_TOL:
         return f"{value.real + 0.0:+.4f}{value.imag + 0.0:+.4f}i"
     return fmt_real(value)
-
-
-def _checked_labels(
-    t: WeakValueTensor, labels: Sequence[Sequence[str]] | None
-) -> tuple[tuple[str, ...], ...]:
-    if labels is None:
-        return tuple(tuple(str(i) for i in range(d)) for d in t.dims)
-    out = tuple(tuple(str(l) for l in axis) for axis in labels)
-    if len(out) != t.rank or any(len(axis) != d for axis, d in zip(out, t.dims)):
-        raise LabelMismatchError(f"labels {out} do not match shape {t.dims}")
-    return out
 
 
 def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
@@ -76,51 +83,27 @@ def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
 
 
 def _grid_lines(
-    block: np.ndarray,
+    cells: Sequence[str],
     row_labels: Sequence[str],
     col_labels: Sequence[str],
-    row_sums: Sequence[complex] | None,
-    col_sums: Sequence[complex] | None,
-    total: complex | None,
-    marks: set[tuple[int, int]] | None = None,  # None disables mark padding
+    sums: tuple[Sequence[str], Sequence[str], str] | None = None,
 ) -> list[str]:
-    rows, cols = block.shape
+    # cells: formatted, row-major; sums: formatted (row sums, column sums,
+    # total) for the border band
+    row_sums, col_sums, total = sums or ((), (), "")
+    w0 = max(3, *map(len, row_labels))
+    width = max(3, *map(len, itertools.chain(cells, col_labels, row_sums, col_sums, [total])))
 
-    def cell(r: int, c: int) -> str:
-        text = fmt_real(block[r, c])
-        if marks is not None:
-            text += "*" if (r, c) in marks else " "
-        return text
+    def line(head: str, strings: Sequence[str], tail: str | None = None) -> str:
+        out = head.ljust(w0) + "  " + "  ".join(s.rjust(width) for s in strings)
+        return out if tail is None else out + " | " + tail.rjust(width)
 
-    strings = [[cell(r, c) for c in range(cols)] for r in range(rows)]
-    sum_col = [fmt_real(v) for v in row_sums] if row_sums is not None else None
-    sum_row = [fmt_real(v) for v in col_sums] if col_sums is not None else None
-
-    w0 = max([len(str(l)) for l in row_labels] + [3])
-    width = max(
-        [len(s) for row in strings for s in row]
-        + [len(str(l)) for l in col_labels]
-        + ([len(s) for s in sum_col] if sum_col else [])
-        + ([len(s) for s in sum_row] if sum_row else [])
-        + ([len(fmt_real(total))] if total is not None else [])
-        + [3]
-    )
-
-    def line(head: str, cells: Sequence[str], tail: str | None) -> str:
-        out = head.ljust(w0) + "  " + "  ".join(s.rjust(width) for s in cells)
-        if tail is not None:
-            out += " | " + tail.rjust(width)
-        return out
-
-    lines = [line("", [str(l) for l in col_labels], "sum" if total is not None else None)]
-    for r in range(rows):
-        lines.append(
-            line(str(row_labels[r]), strings[r], sum_col[r] if sum_col else None)
-        )
-    if sum_row is not None and total is not None:
-        lines.append("-" * len(lines[0]))
-        lines.append(line("sum", sum_row, fmt_real(total)))
-    return lines
+    cols = len(col_labels)
+    rows = [cells[k : k + cols] for k in range(0, len(cells), cols)]
+    if sums is None:
+        return [line("", col_labels), *map(line, row_labels, rows)]
+    lines = [line("", col_labels, "sum"), *map(line, row_labels, rows, row_sums)]
+    return [*lines, "-" * len(lines[0]), line("sum", col_sums, total)]
 
 
 def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None) -> str:
@@ -134,15 +117,9 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     """
     if t.rank != 2:
         raise NotTwoAxesError(f"grid rendering requires rank 2, got rank {t.rank}")
-    labels = _checked_labels(t, labels)
-    lines = _grid_lines(
-        t.components,
-        labels[0],
-        labels[1],
-        marginalize(t, 0),
-        marginalize(t, 1),
-        total_sum(t),
-    )
+    labels = check_labels(labels, t.dims)
+    sums = (fmt_reals(marginalize(t, 0)), fmt_reals(marginalize(t, 1)), fmt_real(total_sum(t)))
+    lines = _grid_lines(fmt_reals(t.components), labels[0], labels[1], sums)
     lines.extend(_imag_warning(t, labels))
     return "\n".join(lines) + "\n"
 
@@ -155,21 +132,16 @@ def render_cube(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     """
     if t.rank != 3:
         raise NotThreeAxesError(f"cube rendering requires rank 3, got rank {t.rank}")
-    labels = _checked_labels(t, labels)
+    labels = check_labels(labels, t.dims)
+    _, rows, cols = t.dims
     lines: list[str] = []
-    for i in range(t.dims[0]):
-        lines.append(f"slice {labels[0][i]}:")
-        lines.extend(
-            _grid_lines(
-                t.components[i],
-                labels[1],
-                labels[2],
-                None,
-                None,
-                None,
-                marks={(i, i)} if i < t.dims[1] and i < t.dims[2] else set(),
-            )
-        )
+    for i, slice_label in enumerate(labels[0]):
+        cells = [s + " " for s in fmt_reals(t.components[i])]
+        if i < rows and i < cols:
+            diag = i * cols + i
+            cells[diag] = cells[diag][:-1] + "*"
+        lines.append(f"slice {slice_label}:")
+        lines.extend(_grid_lines(cells, labels[1], labels[2]))
         lines.append("")
     lines.extend(_imag_warning(t, labels))
     while lines and lines[-1] == "":
@@ -243,7 +215,7 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     """
     if t.rank not in (2, 3):
         raise UnsupportedRankError(f"SVG rendering supports ranks 2 and 3, got rank {t.rank}")
-    labels = _checked_labels(t, labels)
+    labels = check_labels(labels, t.dims)
 
     if t.rank == 2:
         rows, cols = t.dims

@@ -24,29 +24,24 @@ import numpy as np
 
 from .errors import (
     InvalidCountError,
-    LabelMismatchError,
     MissingParamError,
     NonFiniteAmplitudeError,
     ShapeMismatchError,
     UnknownNameError,
     WrongScenarioError,
 )
-from .hilbert import Ket, check_dims, make_ket, total_dim
+from .hilbert import Ket, check_dims, check_labels, make_ket, total_dim
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
-
-
-def default_labels(dims: Sequence[int]) -> tuple[tuple[str, ...], ...]:
-    """Digit labels, one tuple per axis."""
-    return tuple(tuple(str(i) for i in range(d)) for d in dims)
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A named pre/post state pair with per-axis level labels.
 
-    ``post`` is ``None`` for expectation-only scenarios. Construction
-    verifies that the labels fit the shape and, when a post state is
-    present, that the selection is not orthogonal.
+    ``post`` is ``None`` for expectation-only scenarios, and
+    ``axis_labels=None`` gives digit labels. Construction verifies that the
+    labels fit the shape and, when a post state is present, that the
+    selection is not orthogonal.
     """
 
     name: str
@@ -56,14 +51,7 @@ class Scenario:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = tuple(tuple(str(l) for l in axis) for axis in self.axis_labels)
-        if len(labels) != len(self.pre.dims) or any(
-            len(axis) != d for axis, d in zip(labels, self.pre.dims)
-        ):
-            raise LabelMismatchError(
-                f"labels {labels} do not match shape {self.pre.dims}"
-            )
-        object.__setattr__(self, "axis_labels", labels)
+        object.__setattr__(self, "axis_labels", check_labels(self.axis_labels, self.pre.dims))
         if self.post is not None:
             if self.post.dims != self.pre.dims:
                 raise ShapeMismatchError(
@@ -100,7 +88,7 @@ def bell(kind: str) -> Scenario:
         raise UnknownNameError(f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL)}")
     name, amps = _BELL[kind]
     state = make_ket((2, 2), np.array(amps) / math.sqrt(2.0))
-    return Scenario(name, state, None, default_labels((2, 2)))
+    return Scenario(name, state, None, None)
 
 
 def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
@@ -126,7 +114,7 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
 def ghz(parties: int, levels: int, all_diagonal: bool = False) -> Scenario:
     """GHZ scenario (expectation-only)."""
     state = ghz_ket(parties, levels, all_diagonal)
-    return Scenario("ghz", state, None, default_labels(state.dims))
+    return Scenario("ghz", state, None, None)
 
 
 def cheshire() -> Scenario:
@@ -204,7 +192,7 @@ def ghz3_selected() -> Scenario:
     pre_amps[[0, 13, 26]] = s
     post_amps[[0, 13, 26]] = (s, s, -s)
     dims = (3, 3, 3)
-    return Scenario("ghz3-selected", Ket(dims, pre_amps), Ket(dims, post_amps), default_labels(dims))
+    return Scenario("ghz3-selected", Ket(dims, pre_amps), Ket(dims, post_amps), None)
 
 
 def custom(
@@ -214,9 +202,6 @@ def custom(
     name: str = "custom",
 ) -> Scenario:
     """Wrap user-supplied states as a scenario (e.g. for the CLI pipeline)."""
-    if labels is None:
-        labels = default_labels(pre.dims)
-    labels = tuple(tuple(axis) for axis in labels)
     return Scenario(name, pre, post, labels)
 
 

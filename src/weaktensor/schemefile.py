@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaViolationError, UnknownNameError
-from .hilbert import MAX_DIMENSION, Ket, basis_labels, make_ket
-from .render import fmt_real, label_str, render_cube, render_grid, render_svg
+from .hilbert import MAX_DIMENSION, Ket, make_ket
+from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, marginalize, total_sum
 
@@ -122,10 +122,9 @@ def _document_text(doc: SchemeDocument) -> str:
     if block is not None:
         lines.append(block(doc.to_tensor(), doc.labels).rstrip("\n"))
     else:
-        for label, value in zip(basis_labels(doc.dims), doc.components):
-            lines.append(f"  {label_str(label, doc.dims)}  {fmt_real(value)}")
+        lines.extend(map("  {}  {}".format, label_strs(doc.dims), fmt_reals(doc.components)))
     for axis, per_level in enumerate(doc.marginals):
-        pairs = "  ".join(f"{lbl}={fmt_real(v)}" for lbl, v in zip(doc.labels[axis], per_level))
+        pairs = "  ".join(map("{}={}".format, doc.labels[axis], fmt_reals(per_level)))
         lines.append(f"axis {axis} marginals: {pairs}")
     lines.append(f"total: {fmt_real(doc.total)}")
     return "\n".join(lines) + "\n"

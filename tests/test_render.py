@@ -206,3 +206,30 @@ def test_label_str_separates_digits_once_a_dimension_exceeds_ten():
     assert label_str((10, 0), (11, 2)) == "|10,0>"
     assert label_str((7,), (10,)) == "|7>"
     assert label_str((7,), (11,)) == "|7>"
+
+
+@pytest.mark.parametrize("dims", [(2,), (11,), (2, 3, 2), (10, 2), (2, 11, 3), (3, 12)])
+def test_label_strs_is_label_str_of_every_basis_label(dims):
+    from weaktensor import basis_labels
+    from weaktensor.render import label_str, label_strs
+
+    assert list(label_strs(dims)) == [label_str(l, dims) for l in basis_labels(dims)]
+
+
+def test_fmt_reals_is_fmt_real_of_every_element():
+    from weaktensor.render import fmt_real, fmt_reals
+
+    values = np.array([[-0.0, -4e-5, 5e-5], [-0.0 - 1j, 1e300, -2.5 + 3j]])
+    assert fmt_reals(values) == [fmt_real(v) for v in values.reshape(-1)]
+    assert fmt_reals(values)[:3] == ["+0.0000", "-0.0000", "+0.0001"]
+    assert fmt_reals(-0.0 + 2j) == [fmt_real(-0.0 + 2j)] == ["+0.0000"]
+
+
+def test_renderers_and_scenarios_reject_labels_with_one_message():
+    s = build_named("cheshire")
+    message = "labels (('a', 'b'),) do not match shape (2, 2)"
+    with pytest.raises(LabelMismatchError) as from_render:
+        render_grid(s.tensor(), [["a", "b"]])
+    with pytest.raises(LabelMismatchError) as from_scenario:
+        custom(s.pre, s.post, [["a", "b"]])
+    assert str(from_render.value) == str(from_scenario.value) == message
