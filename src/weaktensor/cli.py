@@ -54,11 +54,15 @@ def _scenario_for(args) -> Scenario:
 
 
 def _emit(data: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(data.decode("utf-8"))
-    else:
+    # stdout gets the bytes --out would write, whatever its text encoding
+    if out is not None:
         with open(out, "wb") as handle:
             handle.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # what was printed before stays in front
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as an io.StringIO
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _render_scenario(scenario: Scenario, fmt: str, out: str | None) -> int:

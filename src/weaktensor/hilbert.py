@@ -128,7 +128,7 @@ class Ket:
             raise LengthMismatchError(
                 f"expected {total_dim(dims)} amplitudes for shape {dims}, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise NonFiniteAmplitudeError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)

@@ -7,8 +7,9 @@ formatting), so golden-file tests are valid.
 Orientation: axis 0 is rendered as rows and axis 1 as columns; rank-3
 tensors are rendered as one rank-2 slice per level of axis 0.
 
-Text cells and ket labels are formatted in one pass per block:
-:func:`fmt_reals` formats a whole array of cells or sums, and
+Text and SVG cells and ket labels are formatted in one pass per block:
+:func:`fmt_reals` formats a whole array of cells or sums (an SVG cell adds
+its imaginary part where that exceeds :data:`IMAG_WARN_TOL`, 1e-9), and
 :func:`label_strs` writes the ket label of every basis state of a shape.
 :func:`fmt_real` and :func:`label_str` give the same strings for one value.
 """
@@ -61,12 +62,6 @@ def label_strs(dims: Sequence[int]) -> Iterator[str]:
     order (the labels of :func:`~weaktensor.hilbert.basis_labels`)."""
     digits = [list(map(str, range(d))) for d in dims]
     return map("|{}>".format, map(_joiner(dims).join, itertools.product(*digits)))
-
-
-def _fmt_full(value: complex) -> str:
-    if abs(value.imag) > IMAG_WARN_TOL:
-        return f"{value.real + 0.0:+.4f}{value.imag + 0.0:+.4f}i"
-    return fmt_real(value)
 
 
 def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
@@ -154,17 +149,8 @@ _LEFT, _TOP, _PAD = 90, 46, 16
 _SLICE_GAP = 28
 _CAPTION_H = 26
 
-_FILL_POS = "#aecbe8"
-_FILL_NEG = "#f2b8a0"
-_FILL_ZERO = "#efefef"
-
-
-def _fill(value: complex) -> str:
-    if value.real > SIGN_TOL:
-        return _FILL_POS
-    if value.real < -SIGN_TOL:
-        return _FILL_NEG
-    return _FILL_ZERO
+#: Cell fill by the sign of the real part: 1, -1, or 0 within SIGN_TOL (or NaN)
+_FILLS = ("#efefef", "#aecbe8", "#f2b8a0")
 
 
 def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14) -> str:
@@ -175,66 +161,52 @@ def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14)
     )
 
 
-def _svg_block(
-    block: np.ndarray,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    x0: int,
-    y0: int,
-    marks: set[tuple[int, int]],
-) -> list[str]:
-    rows, cols = block.shape
-    parts = []
-    for c in range(cols):
-        parts.append(_svg_text(x0 + _LEFT + c * _CELL_W + _CELL_W // 2, y0 - 12, col_labels[c]))
-    for r in range(rows):
-        parts.append(
-            _svg_text(x0 + _LEFT - 8, y0 + r * _CELL_H + _CELL_H // 2 + 5, row_labels[r], "end")
-        )
-    for r in range(rows):
-        for c in range(cols):
-            x = x0 + _LEFT + c * _CELL_W
-            y = y0 + r * _CELL_H
-            stroke_width = 3 if (r, c) in marks else 1
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL_W}" height="{_CELL_H}" '
-                f'fill="{_fill(block[r, c])}" stroke="#333333" stroke-width="{stroke_width}"/>'
-            )
-            parts.append(
-                _svg_text(x + _CELL_W // 2, y + _CELL_H // 2 + 5, _fmt_full(block[r, c]))
-            )
-    return parts
-
-
 def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None) -> bytes:
     """Static SVG 1.1 rendering of a rank-2 or rank-3 tensor.
 
     Cells are colored by the sign of the real part and annotated with their
-    values; rank-3 tensors are drawn as captioned slices along axis 0 with
-    the cube diagonal cells outlined. Output is deterministic byte-for-byte.
+    values, the imaginary part appended where it exceeds
+    :data:`IMAG_WARN_TOL`; rank-3 tensors are drawn as captioned slices
+    along axis 0 with the cube diagonal cells outlined. Output is
+    deterministic byte-for-byte.
     """
     if t.rank not in (2, 3):
         raise UnsupportedRankError(f"SVG rendering supports ranks 2 and 3, got rank {t.rank}")
     labels = check_labels(labels, t.dims)
+    flat = t.components.reshape(-1)
+    texts = fmt_reals(flat)
+    for k in np.flatnonzero(np.abs(flat.imag) > IMAG_WARN_TOL).tolist():
+        texts[k] += f"{flat[k].imag + 0.0:+.4f}i"
+    signs = (flat.real > SIGN_TOL).astype(int) - (flat.real < -SIGN_TOL)
+    fills = list(map(_FILLS.__getitem__, signs.tolist()))
 
-    if t.rank == 2:
-        rows, cols = t.dims
-        width = _LEFT + cols * _CELL_W + _PAD
-        height = _TOP + rows * _CELL_H + _PAD
-        body = _svg_block(t.components, labels[0], labels[1], 0, _TOP, set())
-    else:
-        slices, rows, cols = t.dims
-        slice_w = _LEFT + cols * _CELL_W
-        width = _PAD + slices * (slice_w + _SLICE_GAP) - _SLICE_GAP + _PAD
-        height = _TOP + _CAPTION_H + rows * _CELL_H + _PAD
-        body = []
-        for i in range(slices):
-            x0 = _PAD + i * (slice_w + _SLICE_GAP)
-            body.append(_svg_text(x0 + _LEFT, _TOP, f"slice {labels[0][i]}", "start", 15))
-            diag = {(i, i)} if i < rows and i < cols else set()
-            body.extend(
-                _svg_block(t.components[i], labels[1], labels[2], x0, _TOP + _CAPTION_H, diag)
+    # a rank-2 tensor is one slice with no caption and no left margin
+    captions, left, caption_h = ([None], 0, 0) if t.rank == 2 else (labels[0], _PAD, _CAPTION_H)
+    *_, row_labels, col_labels = labels
+    rows, cols = t.dims[-2:]
+    slice_w = _LEFT + cols * _CELL_W
+    width = left + len(captions) * (slice_w + _SLICE_GAP) - _SLICE_GAP + _PAD
+    height = _TOP + caption_h + rows * _CELL_H + _PAD
+    y0 = _TOP + caption_h
+    cells = zip(fills, texts)  # flat order: slice by slice, row-major
+    body = []
+    for i, caption in enumerate(captions):
+        x0 = left + i * (slice_w + _SLICE_GAP) + _LEFT
+        if caption is not None:
+            body.append(_svg_text(x0, _TOP, f"slice {caption}", "start", 15))
+        for c, label in enumerate(col_labels):
+            body.append(_svg_text(x0 + c * _CELL_W + _CELL_W // 2, y0 - 12, label))
+        for r, label in enumerate(row_labels):
+            body.append(_svg_text(x0 - 8, y0 + r * _CELL_H + _CELL_H // 2 + 5, label, "end"))
+        diag = i * (cols + 1) if t.rank == 3 and i < min(rows, cols) else -1
+        for k, (fill, text) in enumerate(itertools.islice(cells, rows * cols)):
+            x = x0 + k % cols * _CELL_W
+            y = y0 + k // cols * _CELL_H
+            body.append(
+                f'<rect x="{x}" y="{y}" width="{_CELL_W}" height="{_CELL_H}" fill="{fill}" '
+                f'stroke="#333333" stroke-width="{3 if k == diag else 1}"/>'
             )
+            body.append(_svg_text(x + _CELL_W // 2, y + _CELL_H // 2 + 5, text))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

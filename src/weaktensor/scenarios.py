@@ -17,7 +17,7 @@ reproduced verbatim:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ class Scenario:
     pre: Ket
     post: Ket | None
     axis_labels: tuple[tuple[str, ...], ...]
-    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_labels", check_labels(self.axis_labels, self.pre.dims))
@@ -156,7 +155,7 @@ def hardy_overlap_labels(s: Scenario) -> Scenario:
     """
     if s.name not in ("hardy", "hardy-overlap"):
         raise WrongScenarioError(f"expected the hardy scenario, got {s.name!r}")
-    return Scenario("hardy-overlap", s.pre, s.post, _HARDY_OVERLAP_LABELS, dict(s.params))
+    return Scenario("hardy-overlap", s.pre, s.post, _HARDY_OVERLAP_LABELS)
 
 
 def hardy_gamma(gamma: float) -> Scenario:
@@ -174,9 +173,7 @@ def hardy_gamma(gamma: float) -> Scenario:
         raise NonFiniteAmplitudeError("amplitudes must be finite")
     pre = make_ket((2, 2), [1.0, np.exp(1j * gamma), 1.0, 1.0])
     post = make_ket((2, 2), [1.0, -1.0, -1.0, 1.0])
-    return Scenario(
-        "hardy-gamma", pre, post, (("L_p", "R_p"), ("L_e", "R_e")), {"gamma": float(gamma)}
-    )
+    return Scenario("hardy-gamma", pre, post, (("L_p", "R_p"), ("L_e", "R_e")))
 
 
 def ghz3_selected() -> Scenario:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaViolationError, UnknownNameError
-from .hilbert import MAX_DIMENSION, Ket, make_ket
+from .hilbert import MAX_DIMENSION, Ket
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, marginalize, total_sum
@@ -221,7 +221,7 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
         if not isinstance(obj, dict):
             raise SchemaViolationError(field, "expected an object with an 'amps' field")
         raw = _require_field(obj, "amps", field)
-        return make_ket(dims, _parse_amps(raw, f"{field}.amps", d_total))
+        return Ket(dims, _parse_amps(raw, f"{field}.amps", d_total))
 
     _require_field(data, "pre")
     pre = state("pre")
@@ -272,4 +272,4 @@ def read_ket_file(path: str | os.PathLike) -> Ket:
     data = _load_object(_read_text(path))
     dims = _parse_shape(_require_field(data, "shape"))
     amps = _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims))
-    return make_ket(dims, amps)
+    return Ket(dims, amps)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import weaktensor
 from weaktensor import SCENARIO_NAMES, cli_main, hardy, write_scenario_file
 from weaktensor.cli import cli_main as cli_main_direct
 
@@ -334,3 +340,28 @@ def test_tensor_of_amplitudes_whose_squares_overflow(capsys, tmp_path):
     code, out, err = run_cli(capsys, "tensor", "--pre", str(big), "--post", str(up))
     assert (code, err) == (0, "")
     assert "  |0>  +1.0000\n  |1>  +0.0000\n" in out
+
+
+def test_stdout_carries_the_utf8_bytes_whatever_its_encoding(tmp_path):
+    # cheshire's labels (the spin arrows) are not ASCII
+    src = os.path.dirname(os.path.dirname(weaktensor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "ascii"}
+    for fmt in ("text", "svg"):
+        argv = [sys.executable, "-m", "weaktensor", "run", "cheshire", "--format", fmt]
+        out_file = tmp_path / f"cheshire.{fmt}"
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        wrote = subprocess.run([*argv, "--out", str(out_file)], env=env, capture_output=True,
+                               timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), fmt
+        assert (wrote.returncode, wrote.stdout, wrote.stderr) == (0, b"", b""), fmt
+        assert done.stdout == out_file.read_bytes()
+        assert "↑".encode("utf-8") in done.stdout
+
+
+def test_output_to_a_text_only_stdout(capsys):
+    code, expected, _ = run_cli(capsys, "run", "cheshire", "--format", "svg")
+    buffer = io.StringIO()  # no binary buffer underneath
+    with contextlib.redirect_stdout(buffer):
+        assert cli_main(["run", "cheshire", "--format", "svg"]) == 0
+    assert (code, buffer.getvalue()) == (0, expected)
