@@ -185,9 +185,9 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     *_, row_labels, col_labels = labels
     rows, cols = t.dims[-2:]
     slice_w = _LEFT + cols * _CELL_W
-    width = left + len(captions) * (slice_w + _SLICE_GAP) - _SLICE_GAP + _PAD
-    height = _TOP + caption_h + rows * _CELL_H + _PAD
     y0 = _TOP + caption_h
+    width = left + len(captions) * (slice_w + _SLICE_GAP) - _SLICE_GAP + _PAD
+    height = y0 + rows * _CELL_H + _PAD
     cells = zip(fills, texts)  # flat order: slice by slice, row-major
     body = []
     for i, caption in enumerate(captions):
