@@ -35,10 +35,12 @@ from .errors import (
     ZeroVectorError,
 )
 from .hilbert import (
+    ZERO_NORM_TOL,
     Ket,
     ProjectorProduct,
     basis_labels,
     check_dims,
+    freeze,
     inner,
     norm,
     tensor_product,
@@ -107,7 +109,7 @@ def evolve(state: Ket, h: DiagonalHamiltonian, t: float) -> Ket:
         finite = np.isfinite(h.energies * t).all()
     if not finite:
         raise NonFiniteAmplitudeError("amplitudes must be finite")
-    return Ket(state.dims, state.amps * np.exp(-1j * h.energies * t))
+    return Ket(state.dims, freeze(state.amps * np.exp(-1j * h.energies * t)))
 
 
 def epr_pair() -> Ket:
@@ -219,7 +221,7 @@ def product_form(
             raise NonFiniteAmplitudeError("amplitudes must be finite")
         amps = fam.factor.amps.copy()
         amps[index] *= np.exp(-1j * rate(values) * t)
-        copies.append(Ket(fam.factor.dims, amps))
+        copies.append(Ket(fam.factor.dims, freeze(amps)))
     return reduce(tensor_product, copies)
 
 
@@ -287,10 +289,10 @@ class ComparisonReport:
     max_component_diff: float
 
 
-def _gauge_fixed(k: Ket) -> np.ndarray:
-    # unit norm, global phase fixed so the largest-magnitude amplitude is
-    # real and positive
-    u = k.amps / norm(k)
+def _gauge_fixed(k: Ket, n: float) -> np.ndarray:
+    # unit norm (``n`` is norm(k)), global phase fixed so the
+    # largest-magnitude amplitude is real and positive
+    u = k.amps / n
     anchor = u[int(np.argmax(np.abs(u)))]
     return u * (np.conj(anchor) / abs(anchor))
 
@@ -306,10 +308,10 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     if a.dims != b.dims:
         raise ShapeMismatchError(f"shapes differ: {a.dims} vs {b.dims}")
     na, nb = norm(a), norm(b)
-    if na <= 1e-12 or nb <= 1e-12:
+    if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         raise ZeroVectorError("cannot compare (near-)zero states")
     fidelity = abs(inner(a, b)) ** 2 / (na**2 * nb**2)
-    diff = float(np.max(np.abs(_gauge_fixed(a) - _gauge_fixed(b))))
+    diff = float(np.max(np.abs(_gauge_fixed(a, na) - _gauge_fixed(b, nb))))
     return ComparisonReport(fidelity=float(fidelity), max_component_diff=diff)
 
 
@@ -325,6 +327,8 @@ def phase_report(state: Ket, reference: Ket) -> dict[tuple[int, ...], float]:
     keep = (np.abs(s) > PHASE_AMP_TOL) & (np.abs(r) > PHASE_AMP_TOL)
     phases = np.angle(s[keep] / r[keep]) + 0.0  # folds -0.0 into +0.0
     phases[phases <= -math.pi] += 2.0 * math.pi
-    # labels and values are streamed, never listed: at 2^20 a list of
-    # either would add megabytes of Python objects next to the dict
-    return dict(zip(itertools.compress(basis_labels(state.dims), keep), map(float, phases)))
+    # labels are streamed, never listed: at 2^20 a list of them would add
+    # hundreds of megabytes of tuples next to the dict. The values come from
+    # one tolist(), whose floats the dict keeps anyway, instead of a float()
+    # call per numpy scalar.
+    return dict(zip(itertools.compress(basis_labels(state.dims), keep), phases.tolist()))

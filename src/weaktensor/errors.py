@@ -17,6 +17,11 @@ class NonFiniteAmplitudeError(WeakTensorError):
     """An amplitude contains NaN or infinity."""
 
 
+class NonNumericAmplitudeError(WeakTensorError, ValueError):
+    """An amplitude or component is not a number (a string, a nested
+    sequence or another object)."""
+
+
 class NonFiniteEnergyError(WeakTensorError, ValueError):
     """A Hamiltonian coupling or energy is NaN or infinite."""
 

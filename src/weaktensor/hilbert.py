@@ -26,6 +26,7 @@ from .errors import (
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteAmplitudeError,
+    NonNumericAmplitudeError,
     NonQubitShapeError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -40,6 +41,10 @@ MAX_DIMENSION = 2**20
 
 #: Norm below which a vector is treated as zero.
 ZERO_NORM_TOL = 1e-12
+
+#: Below this norm (about 3e-145) squares of amplitudes within 2**-53 of the
+#: largest one can be subnormal, so :func:`norm` rescales before squaring.
+_SMALL_NORM = 2.0**-480
 
 PAULI_LETTERS = "IXYZ"
 
@@ -109,12 +114,52 @@ def basis_labels(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*map(range, dims))
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """True when no writeable array can change ``array``'s memory: it and
+    every array it is a view of are read-only, down to the owning array."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
+def freeze(array: np.ndarray) -> np.ndarray:
+    """Mark an array that nothing else holds read-only and return it, so
+    :class:`Ket` and ``WeakValueTensor`` keep it instead of copying it."""
+    array.setflags(write=False)
+    return array
+
+
+def read_only_complex(values, shape: int | tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only ``complex128`` array of ``shape``.
+
+    A ``complex128`` array that is read-only down to its owning array is
+    kept as a view. Anything else is copied and then frozen: a writeable
+    array, another dtype, a read-only view of writeable memory, any other
+    sequence, or a reshape that has to copy.
+    """
+    if not (
+        isinstance(values, np.ndarray) and values.dtype == np.complex128 and _frozen(values)
+    ):
+        try:
+            values = np.array(values, dtype=np.complex128)
+        except (TypeError, ValueError) as err:
+            raise NonNumericAmplitudeError("amplitudes must be numbers") from err
+        values.setflags(write=False)
+    return freeze(values.reshape(shape))  # a reshape that had to copy owns new memory
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Dense complex amplitude vector over an ordered multi-qudit shape.
 
-    Instances are immutable: the amplitude array is copied on construction
-    and marked read-only. Compare amplitudes explicitly (e.g. with
+    Instances are immutable: ``amps`` is read-only and flat. A
+    ``complex128`` array that is read-only down to its owning array is kept
+    as a view; anything else (a writeable array, another dtype, a read-only
+    view of writeable memory, a list) is copied and then marked read-only.
+    An array kept as a view must stay read-only: :func:`norm` is computed
+    once per ket. Compare amplitudes explicitly (e.g. with
     ``np.array_equal``); ``==`` is identity.
     """
 
@@ -123,14 +168,13 @@ class Ket:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)
+        amps = read_only_complex(self.amps, -1)
         if amps.size != total_dim(dims):
             raise LengthMismatchError(
                 f"expected {total_dim(dims)} amplitudes for shape {dims}, got {amps.size}"
             )
         if not np.isfinite(amps).all():
             raise NonFiniteAmplitudeError("amplitudes must be finite")
-        amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
 
@@ -148,8 +192,18 @@ class Ket:
 
 
 def make_ket(dims: Sequence[int], amps: Iterable[complex]) -> Ket:
-    """Build a ket from explicit amplitudes (no implicit normalization)."""
-    return Ket(tuple(dims), np.fromiter(amps, dtype=np.complex128))
+    """Build a ket from explicit amplitudes (no implicit normalization).
+
+    An ``np.ndarray`` goes to :class:`Ket` as it is (one bulk conversion,
+    flattened in C order); any other iterable is read one amplitude at a
+    time.
+    """
+    if not isinstance(amps, np.ndarray):
+        try:
+            amps = freeze(np.fromiter(amps, dtype=np.complex128))
+        except (TypeError, ValueError) as err:
+            raise NonNumericAmplitudeError("amplitudes must be numbers") from err
+    return Ket(tuple(dims), amps)
 
 
 def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:
@@ -157,7 +211,7 @@ def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:
     dims = check_dims(dims)
     amps = np.zeros(total_dim(dims), dtype=np.complex128)
     amps[flat_index(label, dims)] = 1.0
-    return Ket(dims, amps)
+    return Ket(dims, freeze(amps))
 
 
 def tensor_product(a: Ket, b: Ket) -> Ket:
@@ -167,7 +221,7 @@ def tensor_product(a: Ket, b: Ket) -> Ket:
         raise DimensionOverflowError(
             f"combined dimension {math.prod(dims)} exceeds the ceiling {MAX_DIMENSION}"
         )
-    return Ket(dims, np.kron(a.amps, b.amps))
+    return Ket(dims, freeze(np.kron(a.amps, b.amps)))
 
 
 def inner(bra: Ket, ket: Ket) -> complex:
@@ -178,21 +232,28 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 
 def norm(k: Ket) -> float:
-    """Euclidean norm, finite whenever the true norm is.
+    """Euclidean norm, finite whenever the true norm is and nonzero whenever
+    an amplitude is.
 
-    When the sum of squares overflows (amplitudes above about 1e154), the
-    norm is taken again over amplitudes scaled by an exact power of two that
-    brings the largest magnitude into [0.5, 1), then scaled back; binary
-    scaling is exact, so only that path changes.
+    When the sum of squares overflows (amplitudes above about 1e154) or the
+    norm is below :data:`_SMALL_NORM` (where squares that matter can
+    underflow and lose digits), the norm is taken again over amplitudes
+    scaled by an exact power of two that brings the largest magnitude into
+    [0.5, 1), then scaled back; binary scaling is exact, so only that path
+    changes. A ket's amplitudes never change, so each ket computes its norm
+    once and keeps it.
     """
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(k.amps))
-        if math.isfinite(n):
-            return n
-        parts = k.amps.view(np.float64)
-        _, exponent = np.frexp(np.abs(parts).max())
-        scaled = np.ldexp(parts, -exponent).view(np.complex128)
-        return float(np.ldexp(np.linalg.norm(scaled), exponent))
+    n = k.__dict__.get("_norm")
+    if n is None:
+        with np.errstate(over="ignore", under="ignore"):
+            n = float(np.linalg.norm(k.amps))
+            if not _SMALL_NORM <= n < math.inf:
+                parts = k.amps.view(np.float64)
+                _, exponent = np.frexp(np.abs(parts).max())
+                scaled = np.ldexp(parts, -exponent).view(np.complex128)
+                n = float(np.ldexp(np.linalg.norm(scaled), exponent))
+        object.__setattr__(k, "_norm", n)
+    return n
 
 
 def normalize(k: Ket) -> Ket:
@@ -200,7 +261,7 @@ def normalize(k: Ket) -> Ket:
     n = norm(k)
     if n <= ZERO_NORM_TOL:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n}")
-    return Ket(k.dims, k.amps / n)
+    return Ket(k.dims, freeze(k.amps / n))
 
 
 @dataclass(frozen=True)
@@ -253,7 +314,7 @@ def apply_projector_product(p: ProjectorProduct, k: Ket) -> Ket:
     shaped = k.amps.reshape(k.dims)
     out = np.zeros_like(shaped)
     out[index] = shaped[index]
-    return Ket(k.dims, out.reshape(-1))
+    return Ket(k.dims, freeze(out))
 
 
 def apply_pauli_string(letters: str, k: Ket) -> Ket:
@@ -286,4 +347,4 @@ def apply_pauli_string(letters: str, k: Ket) -> Ket:
         elif letter == "Z":
             out[tuple(hi)] *= -1.0
         lo[axis] = hi[axis] = slice(None)
-    return Ket(k.dims, out.reshape(-1))
+    return Ket(k.dims, freeze(out))

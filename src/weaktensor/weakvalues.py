@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     SubsystemOutOfRangeError,
 )
-from .hilbert import Ket, ProjectorProduct, inner, norm, normalize
+from .hilbert import Ket, ProjectorProduct, freeze, inner, norm, normalize, read_only_complex
 
 #: Relative orthogonality tolerance: a selection is rejected when
 #: ``|<post|pre>| <= ORTHO_TOL * norm(pre) * norm(post)``. The relative form
@@ -41,16 +41,6 @@ def selection_overlap(pre: Ket, post: Ket) -> complex:
     return overlap
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """True when no writeable array can change ``array``'s memory: it and
-    every array it is a view of are read-only, down to the owning array."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    return array is None
-
-
 @dataclass(frozen=True, eq=False)
 class WeakValueTensor:
     """Complex components indexed by joint basis label.
@@ -60,6 +50,9 @@ class WeakValueTensor:
     complex. ``kind="expectation"``: squared amplitude magnitudes of a single
     normalized state; real, in [0, 1], and summing to 1. ``overlap`` stores
     the selection overlap ``<post|pre>`` for diagnostics.
+
+    ``components`` is read-only and shaped ``dims``; it is kept as a view or
+    copied by the same rule as :class:`Ket`'s amplitudes.
     """
 
     dims: tuple[int, ...]
@@ -68,18 +61,7 @@ class WeakValueTensor:
     overlap: complex
 
     def __post_init__(self):
-        # an array that is read-only down to its owner is kept as a view;
-        # anything writeable or of another dtype is copied, then frozen
-        components = self.components
-        if not (
-            isinstance(components, np.ndarray)
-            and components.dtype == np.complex128
-            and _frozen(components)
-        ):
-            components = np.array(components, dtype=np.complex128)
-            components.setflags(write=False)
-        components = components.reshape(self.dims)
-        components.setflags(write=False)  # a reshape that had to copy
+        components = read_only_complex(self.components, tuple(self.dims))
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "components", components)
 
@@ -107,8 +89,8 @@ def weak_tensor(pre: Ket, post: Ket) -> WeakValueTensor:
     """Tensor of weak values of the full projector products, one component
     per joint basis label."""
     overlap = selection_overlap(pre, post)
-    components = (np.conj(post.amps) * pre.amps / overlap).reshape(pre.dims)
-    return WeakValueTensor(pre.dims, components, "weak", overlap)
+    components = np.conj(post.amps) * pre.amps / overlap
+    return WeakValueTensor(pre.dims, freeze(components), "weak", overlap)
 
 
 def expectation_tensor(state: Ket) -> WeakValueTensor:
@@ -118,8 +100,8 @@ def expectation_tensor(state: Ket) -> WeakValueTensor:
     amplitude magnitudes.
     """
     unit = normalize(state)
-    components = (np.abs(unit.amps) ** 2).astype(np.complex128).reshape(state.dims)
-    return WeakValueTensor(state.dims, components, "expectation", 1.0 + 0.0j)
+    components = (np.abs(unit.amps) ** 2).astype(np.complex128)
+    return WeakValueTensor(state.dims, freeze(components), "expectation", 1.0 + 0.0j)
 
 
 def marginalize(t: WeakValueTensor, keep: int) -> list[complex]:

@@ -9,9 +9,12 @@ import pytest
 import weaktensor
 from weaktensor import (
     InvalidCountError,
+    Ket,
     NonFiniteAmplitudeError,
+    NonNumericAmplitudeError,
     UnknownNameError,
     WeakTensorError,
+    WeakValueTensor,
     apply_pauli_string,
     bell,
     build_named,
@@ -82,3 +85,27 @@ def test_finite_angles_still_evolve():
     state = tensor_product(epr_pair(), epr_pair())
     evolved = evolve(state, multiwise_epr_hamiltonian(1e10), 1e290)
     assert np.all(np.isfinite(evolved.amps))
+
+
+def test_non_numeric_amplitude_error_is_a_domain_and_value_error():
+    assert "NonNumericAmplitudeError" in weaktensor.__all__
+    assert issubclass(NonNumericAmplitudeError, WeakTensorError)
+    assert issubclass(NonNumericAmplitudeError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_ket((2,), ["a", "b"]),
+        lambda: make_ket((2, 2), [[1, 2], [3, 4]]),
+        lambda: make_ket((2,), np.array(["a", "b"])),
+        lambda: make_ket((2,), np.array([object(), 1], dtype=object)),
+        lambda: Ket((2,), ["a", "b"]),
+        lambda: Ket((2, 2), [[1, 2], [3]]),
+        lambda: WeakValueTensor((2,), ["a", "b"], "weak", 1 + 0j),
+    ],
+)
+def test_non_numeric_amplitudes_are_domain_errors(call):
+    with pytest.raises(NonNumericAmplitudeError) as info:
+        call()
+    assert str(info.value) == "amplitudes must be numbers"

@@ -347,3 +347,19 @@ def test_pauli_string_errors():
         apply_pauli_string("XX", make_ket((2,), [1, 0]))
     with pytest.raises(ValueError):
         apply_pauli_string("XA", make_ket((2, 2), [1, 0, 0, 0]))
+
+
+def test_norm_survives_a_sum_of_squares_that_underflows():
+    assert norm(make_ket((2,), [1e-170, 1e-170])) == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-15)
+    assert norm(make_ket((2,), [3e-160, 4e-160j])) == pytest.approx(5e-160, rel=1e-15)
+    # binary scaling is exact: a 3-4-5 triangle scaled by 2**-600 stays exact
+    tiny = make_ket((2, 2), [math.ldexp(3, -600), math.ldexp(4, -600) * 1j, 0.0, 1e-300])
+    assert norm(tiny) == math.ldexp(5, -600)
+    assert norm(make_ket((2,), [5e-324, 0.0])) == 5e-324
+    assert norm(make_ket((2,), [0.0, 0.0])) == 0.0
+
+
+def test_normalize_of_a_tiny_state_reports_its_true_norm():
+    with pytest.raises(ZeroVectorError) as info:
+        normalize(make_ket((2,), [3e-160, 4e-160]))
+    assert str(info.value) == f"cannot normalize a vector of norm {5e-160}"
