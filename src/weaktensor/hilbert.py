@@ -196,14 +196,21 @@ def make_ket(dims: Sequence[int], amps: Iterable[complex]) -> Ket:
 
     An ``np.ndarray`` goes to :class:`Ket` as it is (one bulk conversion,
     flattened in C order); any other iterable is read one amplitude at a
-    time.
+    time, and a ``None`` in it is a non-number, not a NaN.
     """
-    if not isinstance(amps, np.ndarray):
-        try:
-            amps = freeze(np.fromiter(amps, dtype=np.complex128))
-        except (TypeError, ValueError) as err:
-            raise NonNumericAmplitudeError("amplitudes must be numbers") from err
-    return Ket(tuple(dims), amps)
+    if isinstance(amps, np.ndarray):
+        return Ket(tuple(dims), amps)
+    items = list(amps)
+    try:
+        array = freeze(np.fromiter(items, dtype=np.complex128))
+    except (TypeError, ValueError) as err:
+        raise NonNumericAmplitudeError("amplitudes must be numbers") from err
+    try:
+        return Ket(tuple(dims), array)
+    except NonFiniteAmplitudeError:
+        if None in items:  # numpy reads None as NaN
+            raise NonNumericAmplitudeError("amplitudes must be numbers") from None
+        raise
 
 
 def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:

@@ -110,14 +110,17 @@ def document_to_json(doc: SchemeDocument) -> str:
     return text.replace(key + "[]", key + _pair_list(doc.components, 1), 1)
 
 
+def _fmt_overlap_part(value: float) -> str:
+    # fixed point with four decimals, exponent form from 1e16 on, where
+    # fixed point would print 17 or more integer digits
+    return f"{value + 0.0:+.4e}" if abs(value) >= 1e16 else f"{value + 0.0:+.4f}"
+
+
 def _document_text(doc: SchemeDocument) -> str:
     # header, then the grid (rank 2), the cube (rank 3) or one line per
     # component, then the per-axis marginals and the total
-    lines = [
-        f"scenario: {doc.scenario}",
-        f"kind: {doc.kind}",
-        f"overlap: {doc.overlap.real + 0.0:+.4f}{doc.overlap.imag + 0.0:+.4f}i",
-    ]
+    re, im = map(_fmt_overlap_part, (doc.overlap.real, doc.overlap.imag))
+    lines = [f"scenario: {doc.scenario}", f"kind: {doc.kind}", f"overlap: {re}{im}i"]
     block = {2: render_grid, 3: render_cube}.get(len(doc.dims))
     if block is not None:
         lines.append(block(doc.to_tensor(), doc.labels).rstrip("\n"))

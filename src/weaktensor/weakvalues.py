@@ -9,7 +9,9 @@ but one yields the single-subsystem projector weak values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -52,7 +54,8 @@ class WeakValueTensor:
     the selection overlap ``<post|pre>`` for diagnostics.
 
     ``components`` is read-only and shaped ``dims``; it is kept as a view or
-    copied by the same rule as :class:`Ket`'s amplitudes.
+    copied by the same rule as :class:`Ket`'s amplitudes. Since nothing can
+    write to it, :attr:`marginals` is computed once per tensor and kept.
     """
 
     dims: tuple[int, ...]
@@ -71,6 +74,26 @@ class WeakValueTensor:
 
     def component(self, label: Sequence[int]) -> complex:
         return complex(self.components[tuple(label)])
+
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, ...]:
+        """One read-only array per axis: the sum over all other axes."""
+        return _halved_marginals(self.components, self.dims)
+
+
+def _halved_marginals(components: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    # Split the axes in halves: the row sums of the (left, right) matrix are
+    # the left half's tensor, its column sums the right half's; recurse. That
+    # reads the components about twice in all, and sums each marginal by
+    # blocks instead of in one long run.
+    if len(dims) < 2:  # a rank-1 tensor is its own marginal
+        return (components.reshape(-1),) * len(dims)
+    half = len(dims) // 2
+    block = components.reshape(math.prod(dims[:half]), -1)
+    return (
+        *_halved_marginals(freeze(block.sum(axis=1)), dims[:half]),
+        *_halved_marginals(freeze(block.sum(axis=0)), dims[half:]),
+    )
 
 
 def weak_value(pre: Ket, post: Ket, op: ProjectorProduct) -> complex:
@@ -109,13 +132,12 @@ def marginalize(t: WeakValueTensor, keep: int) -> list[complex]:
 
     For a weak tensor this yields the weak value of each single-subsystem
     projector on the kept axis; for an expectation tensor, the level
-    probabilities.
+    probabilities. All axes come from one cached reduction,
+    :attr:`WeakValueTensor.marginals`.
     """
     if not 0 <= keep < t.rank:
         raise SubsystemOutOfRangeError(f"axis {keep} not in a rank-{t.rank} tensor")
-    other_axes = tuple(a for a in range(t.rank) if a != keep)
-    summed = t.components.sum(axis=other_axes) if other_axes else t.components
-    return [complex(v) for v in summed]
+    return t.marginals[keep].tolist()
 
 
 def total_sum(t: WeakValueTensor) -> complex:

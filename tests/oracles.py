@@ -111,3 +111,24 @@ def json_pairs_loop(values):
     """Per-element ``[re, im]`` transcription of complex values in flat order:
     ``[float(v.real), float(v.imag)]`` for each element, one at a time."""
     return [[float(v.real), float(v.imag)] for v in np.asarray(values).reshape(-1)]
+
+
+def marginals_fsum(components, dims):
+    """Per axis and level: the correctly rounded sum of every component at
+    that level (``math.fsum`` of the real and of the imaginary parts) and the
+    sum of their magnitudes. Each component's levels are the digits of its
+    flat index."""
+    per_axis = [[[] for _ in range(d)] for d in dims]
+    for index, value in enumerate(np.asarray(components).reshape(-1).tolist()):
+        for axis, level in enumerate(digits(index, dims)):
+            per_axis[axis][level].append(value)
+    return [
+        [
+            (
+                complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values)),
+                math.fsum(map(abs, values)),
+            )
+            for values in levels
+        ]
+        for levels in per_axis
+    ]

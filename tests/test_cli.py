@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import weaktensor
 from weaktensor import SCENARIO_NAMES, cli_main, hardy, write_scenario_file
@@ -340,6 +341,25 @@ def test_tensor_of_amplitudes_whose_squares_overflow(capsys, tmp_path):
     code, out, err = run_cli(capsys, "tensor", "--pre", str(big), "--post", str(up))
     assert (code, err) == (0, "")
     assert "  |0>  +1.0000\n  |1>  +0.0000\n" in out
+
+
+@pytest.mark.parametrize(
+    "amp, line",
+    [
+        ([1e200, 0], "overlap: +1.0000e+200+0.0000i"),
+        ([-1e16, -1e16], "overlap: -1.0000e+16-1.0000e+16i"),
+        ([9.999e15, 0], "overlap: +9999000000000000.0000+0.0000i"),
+        ([-2.5, 3e16], "overlap: -2.5000+3.0000e+16i"),
+    ],
+)
+def test_overlap_line_switches_to_exponent_form_at_1e16(capsys, tmp_path, amp, line):
+    # <post|pre> is the pre state's first amplitude; below 1e16 the line is unchanged
+    pre, post = tmp_path / "pre.json", tmp_path / "post.json"
+    write_ket(pre, [2], [amp, [0, 0]])
+    write_ket(post, [2], [[1, 0], [0, 0]])
+    code, out, err = run_cli(capsys, "tensor", "--pre", str(pre), "--post", str(post))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == line
 
 
 def test_stdout_carries_the_utf8_bytes_whatever_its_encoding(tmp_path):

@@ -109,3 +109,16 @@ def test_non_numeric_amplitudes_are_domain_errors(call):
     with pytest.raises(NonNumericAmplitudeError) as info:
         call()
     assert str(info.value) == "amplitudes must be numbers"
+
+
+@pytest.mark.parametrize("amps", [[None, 1], (1, None), iter([None, None])])
+def test_make_ket_reads_none_as_a_non_number_not_a_nan(amps):
+    # numpy converts None to NaN, which used to surface as a non-finite amplitude
+    with pytest.raises(NonNumericAmplitudeError) as info:
+        make_ket((2,), amps)
+    assert str(info.value) == "amplitudes must be numbers"
+
+
+def test_make_ket_still_reports_a_nan_as_non_finite():
+    with pytest.raises(NonFiniteAmplitudeError):
+        make_ket((2,), [math.nan, 1])
