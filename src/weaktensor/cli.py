@@ -94,7 +94,8 @@ def _cmd_evolve(args) -> int:
             raise _UsageError(f"family {family} requires --{param}")
     params = {p: getattr(args, p) for p in ("eps", "eps2", "phi") if getattr(args, p) is not None}
 
-    build = exact_counterpart if family == "exact" else product_form
+    builders = (exact_counterpart, product_form)  # compared in this (exact, form) order
+    build, other = builders if family == "exact" else builders[::-1]
     state = build(form_family, args.time, **params)
     reference = build(form_family, 0.0, **params)
 
@@ -109,10 +110,8 @@ def _cmd_evolve(args) -> int:
     for label, phase in phase_report(state, reference).items():
         lines.append(f"  {label_str(label, state.dims)}  {phase:+.6f}")
     if args.compare:  # state is already one side of the (exact, form) pair
-        if family == "exact":
-            report = compare_states(state, product_form(form_family, args.time, **params))
-        else:
-            report = compare_states(exact_counterpart(form_family, args.time, **params), state)
+        sides = {build: state, other: other(form_family, args.time, **params)}
+        report = compare_states(*map(sides.get, builders))
         lines.append("exact vs product form:")
         lines.append(f"  fidelity: {report.fidelity:.6f}")
         lines.append(f"  max component diff: {report.max_component_diff:.6f}")

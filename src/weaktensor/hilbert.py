@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -132,18 +133,30 @@ def freeze(array: np.ndarray) -> np.ndarray:
 
 
 def read_only_complex(values, shape: int | tuple[int, ...]) -> np.ndarray:
-    """``values`` as a read-only ``complex128`` array of ``shape``.
+    """``values`` as a read-only ``complex128`` array of ``shape``: the one
+    conversion of outside values into amplitudes.
 
-    A ``complex128`` array that is read-only down to its owning array is
-    kept as a view. Anything else is copied and then frozen: a writeable
-    array, another dtype, a read-only view of writeable memory, any other
-    sequence, or a reshape that has to copy.
+    Numbers are values of a bool, integer, float or complex dtype and number
+    objects (ints beyond int64, ``Fraction``, numpy scalars). Strings and
+    bytes, ``None``, other objects and ragged sequences raise
+    :class:`NonNumericAmplitudeError`; an int beyond the float range raises
+    :class:`NonFiniteAmplitudeError`. A ``complex128`` array that is
+    read-only down to its owning array is kept as a view. Anything else is
+    copied and then frozen, as is a reshape that has to copy.
     """
     if not (
         isinstance(values, np.ndarray) and values.dtype == np.complex128 and _frozen(values)
     ):
         try:
+            values = np.asarray(values)
+            # a number dtype, or objects of number types only (np.bool_ is no Number)
+            types = set(map(type, values.flat)) if values.dtype == object else ()
+            numeric = all(issubclass(t, (numbers.Number, np.bool_)) for t in types)
+            if values.dtype.kind not in "biufcO" or not numeric:
+                raise TypeError(f"a {values.dtype} array of non-numbers")
             values = np.array(values, dtype=np.complex128)
+        except OverflowError:  # an int beyond the float range
+            raise NonFiniteAmplitudeError("amplitudes must be finite") from None
         except (TypeError, ValueError) as err:
             raise NonNumericAmplitudeError("amplitudes must be numbers") from err
         values.setflags(write=False)
@@ -154,13 +167,11 @@ def read_only_complex(values, shape: int | tuple[int, ...]) -> np.ndarray:
 class Ket:
     """Dense complex amplitude vector over an ordered multi-qudit shape.
 
-    Instances are immutable: ``amps`` is read-only and flat. A
-    ``complex128`` array that is read-only down to its owning array is kept
-    as a view; anything else (a writeable array, another dtype, a read-only
-    view of writeable memory, a list) is copied and then marked read-only.
-    An array kept as a view must stay read-only: :func:`norm` is computed
-    once per ket. Compare amplitudes explicitly (e.g. with
-    ``np.array_equal``); ``==`` is identity.
+    Instances are immutable: ``amps`` is read-only and flat, converted by
+    :func:`read_only_complex`, which keeps a frozen ``complex128`` array as
+    a view. Such an array must stay read-only: :func:`norm` is computed once
+    per ket. Compare amplitudes explicitly (e.g. with ``np.array_equal``);
+    ``==`` is identity.
     """
 
     dims: tuple[int, ...]
@@ -195,22 +206,14 @@ def make_ket(dims: Sequence[int], amps: Iterable[complex]) -> Ket:
     """Build a ket from explicit amplitudes (no implicit normalization).
 
     An ``np.ndarray`` goes to :class:`Ket` as it is (one bulk conversion,
-    flattened in C order); any other iterable is read one amplitude at a
-    time, and a ``None`` in it is a non-number, not a NaN.
+    flattened in C order). Any other iterable must hold one number per item
+    (see :func:`read_only_complex`), so a nested item raises as ``None`` does.
     """
-    if isinstance(amps, np.ndarray):
-        return Ket(tuple(dims), amps)
-    items = list(amps)
-    try:
-        array = freeze(np.fromiter(items, dtype=np.complex128))
-    except (TypeError, ValueError) as err:
-        raise NonNumericAmplitudeError("amplitudes must be numbers") from err
-    try:
-        return Ket(tuple(dims), array)
-    except NonFiniteAmplitudeError:
-        if None in items:  # numpy reads None as NaN
-            raise NonNumericAmplitudeError("amplitudes must be numbers") from None
-        raise
+    if not isinstance(amps, np.ndarray):
+        items = list(amps)
+        amps = np.empty(len(items), dtype=object)
+        amps[:] = items  # one object per item, even where an item is a sequence
+    return Ket(tuple(dims), amps)
 
 
 def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:

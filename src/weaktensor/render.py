@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotThreeAxesError, NotTwoAxesError, UnsupportedRankError
 from .hilbert import check_labels
-from .weakvalues import WeakValueTensor, marginalize, total_sum
+from .weakvalues import WeakValueTensor, total_sum
 
 #: Cells whose imaginary part exceeds this trigger the grid warning line.
 IMAG_WARN_TOL = 1e-9
@@ -113,7 +113,7 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     if t.rank != 2:
         raise NotTwoAxesError(f"grid rendering requires rank 2, got rank {t.rank}")
     labels = check_labels(labels, t.dims)
-    sums = (fmt_reals(marginalize(t, 0)), fmt_reals(marginalize(t, 1)), fmt_real(total_sum(t)))
+    sums = (*map(fmt_reals, t.marginals), fmt_real(total_sum(t)))
     lines = _grid_lines(fmt_reals(t.components), labels[0], labels[1], sums)
     lines.extend(_imag_warning(t, labels))
     return "\n".join(lines) + "\n"

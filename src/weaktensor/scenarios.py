@@ -101,12 +101,8 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
     dims = check_dims((levels,) * parties)
     amps = np.zeros(total_dim(dims), dtype=np.complex128)
     stride = (levels**parties - 1) // (levels - 1)  # flat step between |j...j> and |j+1...j+1>
-    if all_diagonal:
-        for j in range(levels):
-            amps[j * stride] = 1.0 / math.sqrt(levels)
-    else:
-        amps[0] = 1.0 / math.sqrt(2.0)
-        amps[(levels - 1) * stride] = 1.0 / math.sqrt(2.0)
+    diagonal = range(levels) if all_diagonal else (0, levels - 1)
+    amps[[j * stride for j in diagonal]] = 1.0 / math.sqrt(len(diagonal))
     return Ket(dims, amps)
 
 

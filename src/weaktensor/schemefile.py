@@ -32,7 +32,7 @@ from .errors import ParseError, SchemaViolationError, UnknownNameError
 from .hilbert import MAX_DIMENSION, Ket
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
-from .weakvalues import WeakValueTensor, marginalize, total_sum
+from .weakvalues import WeakValueTensor, total_sum
 
 
 def _pairs(values) -> list[list[float]]:
@@ -51,7 +51,7 @@ class SchemeDocument:
     kind: str
     overlap: complex
     components: np.ndarray  # the tensor's read-only array, flat (a view)
-    marginals: tuple[tuple[complex, ...], ...]  # one tuple per axis
+    marginals: tuple[np.ndarray, ...]  # the tensor's read-only arrays, one per axis
     total: complex
 
     def to_tensor(self) -> WeakValueTensor:
@@ -68,7 +68,7 @@ def scheme_document(scenario: Scenario) -> SchemeDocument:
         kind=tensor.kind,
         overlap=tensor.overlap,
         components=tensor.components.reshape(-1),
-        marginals=tuple(tuple(marginalize(tensor, axis)) for axis in range(tensor.rank)),
+        marginals=tensor.marginals,
         total=total_sum(tensor),
     )
 
