@@ -36,8 +36,9 @@ for label, phase in phase_report(evolved, state0).items():
 print(f"expected on |1010>: {-eps * t:+.4f}, elsewhere 0")
 print()
 
-# The factored product form instead phases one component of every pair, so
-# the two routes drift apart and re-converge periodically.
+# The product form instead evolves each pair under its own |10> coupling,
+# which phases one component of every pair, so the two routes drift apart
+# and re-converge periodically.
 print("exact evolution vs factored product form (family psit1):")
 print(f"{'eps*t':>8}  {'fidelity':>10}  {'max diff':>10}")
 for eps_t in np.linspace(0.0, 2.0 * np.pi, 9):

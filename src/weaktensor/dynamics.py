@@ -5,13 +5,13 @@ Every Hamiltonian here is diagonal in the computational basis (a sum of
 coupling-weighted projector products), so time evolution is exact: amplitude
 ``k`` picks up the phase ``exp(-i * E_k * t)`` with hbar = 1.
 
-The named product-form families (``psit1``, ``E111``, ``Hamm2``, ``GHZ2``,
-``PsiGHZ11``) are closed-form factored evolutions of EPR- and GHZ-pair
-systems in which every tensor factor accumulates its own phase. They do NOT
-generally agree with exact evolution under the corresponding joint-projector
-Hamiltonians (the joint projector phases a single joint amplitude, while the
-product forms phase one component of every factor); :func:`compare_states`
-quantifies the gap instead of deciding between them.
+The named families (``psit1``, ``E111``, ``Hamm2``, ``GHZ2``, ``PsiGHZ11``)
+are copies of an EPR pair or a GHZ cube. Their product form evolves each copy
+under its own coupling on that factor; the exact counterpart evolves the
+product under joint couplings on products of the same factor projectors.
+Both run :func:`evolve`, but they do NOT generally agree (a joint projector
+phases one joint amplitude, a local one a component of every factor);
+:func:`compare_states` quantifies the gap instead of deciding between them.
 """
 
 from __future__ import annotations
@@ -118,68 +118,74 @@ def epr_pair() -> Ket:
     return Ket((2, 2), np.array([0.0, -s, s, 0.0], dtype=np.complex128))
 
 
-def _all_pairs_10_selector(n_pairs: int) -> ProjectorProduct:
-    # joint |10> on every pair: qubit 2j at level 1, qubit 2j+1 at level 0
-    return ProjectorProduct(tuple((q, 1 - q % 2) for q in range(2 * n_pairs)))
+def _on_copies(projector: ProjectorProduct, copies: Iterable[int]) -> ProjectorProduct:
+    """``projector``, which sets every qubit of one factor, moved onto each
+    listed copy of that factor, the copies' projectors multiplied."""
+    n = len(projector.factors)
+    return ProjectorProduct(tuple((n * j + q, v) for j in copies for q, v in projector.factors))
 
 
-def _all_at(level: int, qubits: Iterable[int]) -> ProjectorProduct:
-    return ProjectorProduct(tuple((q, level) for q in qubits))
-
-
-#: joint |01>|01> label of EPR pairs 1 and 2
-_PAIRS_01 = ProjectorProduct(((0, 0), (1, 1), (2, 0), (3, 1)))
+#: Factor projectors: EPR ``|10>`` and ``|01>``, GHZ ``|000>`` and ``|111>``.
+_EPR_10, _EPR_01 = ProjectorProduct(((0, 1), (1, 0))), ProjectorProduct(((0, 0), (1, 1)))
+_GHZ_000, _GHZ_111 = (ProjectorProduct(((0, v), (1, v), (2, v))) for v in (0, 1))
 
 
 @dataclass(frozen=True)
 class Family:
     """One multiwise family, stated once for both evolution routes.
 
-    The system is ``len(phased)`` copies of ``factor`` (an EPR pair or a GHZ
-    cube). The product form multiplies component ``index`` of copy ``j`` by
-    ``exp(-i * rate * t)``, where ``phased[j] = (index, rate)``; exact
-    evolution uses the joint-projector Hamiltonian with one
-    ``(rate, selector)`` term per entry of ``terms``. Each rate is a function
-    of the mapping from parameter name to value.
+    The system is ``len(local)`` copies of ``factor`` (an EPR pair or a GHZ
+    cube). A coupling is a ``(rate, projector)`` pair, the rate a function
+    of the mapping from parameter name to value. The product form evolves
+    copy ``j`` alone under ``local[j]``, whose projector lies on the factor
+    itself; the exact counterpart evolves the product state under every
+    ``joint`` coupling, whose projector is the product of the same factor
+    projectors on two or more copies.
     """
 
     params: tuple[str, ...]
     factor: Ket
-    phased: tuple[tuple[int, Callable[[dict], float]], ...]
-    terms: tuple[tuple[Callable[[dict], float], ProjectorProduct], ...]
+    local: tuple[tuple[Callable[[dict], float], ProjectorProduct], ...]
+    joint: tuple[tuple[Callable[[dict], float], ProjectorProduct], ...]
 
 
 _eps, _eps2, _phi = itemgetter("eps"), itemgetter("eps2"), itemgetter("phi")
 
+
+def _phi_plus_eps(p: dict) -> float:
+    return p["phi"] + p["eps"]
+
+
 #: The named families; see :func:`product_form` and :func:`exact_counterpart`.
-#: EPR flat index 2 is ``|10>`` and 1 is ``|01>``; GHZ index 0 is ``|000>``
-#: and 7 is ``|111>``.
 FAMILIES = {
     "psit1": Family(
-        ("eps",), epr_pair(), ((2, _eps),) * 2, ((_eps, _all_pairs_10_selector(2)),)
+        ("eps",), epr_pair(), ((_eps, _EPR_10),) * 2, ((_eps, _on_copies(_EPR_10, range(2))),)
     ),
     "E111": Family(
-        ("eps",), epr_pair(), ((2, _eps),) * 3, ((_eps, _all_pairs_10_selector(3)),)
+        ("eps",), epr_pair(), ((_eps, _EPR_10),) * 3, ((_eps, _on_copies(_EPR_10, range(3))),)
     ),
     "Hamm2": Family(
         ("eps", "eps2"),
         epr_pair(),
-        ((2, _eps), (2, lambda p: p["eps"] - p["eps2"]), (1, _eps2)),
-        ((_eps, _all_pairs_10_selector(2)), (_eps2, _PAIRS_01)),
+        ((_eps, _EPR_10), (lambda p: p["eps"] - p["eps2"], _EPR_10), (_eps2, _EPR_01)),
+        ((_eps, _on_copies(_EPR_10, (0, 1))), (_eps2, _on_copies(_EPR_01, (0, 1)))),
     ),
-    "GHZ2": Family(("phi",), ghz_ket(3, 2), ((0, _phi),) * 2, ((_phi, _all_at(0, range(6))),)),
+    "GHZ2": Family(
+        ("phi",), ghz_ket(3, 2), ((_phi, _GHZ_000),) * 2, ((_phi, _on_copies(_GHZ_000, (0, 1))),)
+    ),
     "PsiGHZ11": Family(
         ("phi", "eps"),
         ghz_ket(3, 2),
-        ((0, _phi), (0, lambda p: -p["eps"]), (7, lambda p: p["phi"] + p["eps"])),
-        (
-            (_phi, _all_at(0, range(6))),
-            (lambda p: p["phi"] + p["eps"], _all_at(1, range(3, 9))),
-        ),
+        ((_phi, _GHZ_000), (lambda p: -p["eps"], _GHZ_000), (_phi_plus_eps, _GHZ_111)),
+        ((_phi, _on_copies(_GHZ_000, (0, 1))), (_phi_plus_eps, _on_copies(_GHZ_111, (1, 2)))),
     ),
 }
 
 PRODUCT_FAMILIES = tuple(FAMILIES)
+
+
+def _hamiltonian(dims: Sequence[int], terms: Iterable[tuple[float, ProjectorProduct]]):
+    return build_hamiltonian(dims, [HamiltonianTerm(energy, p) for energy, p in terms])
 
 
 def _family(name: str, **params: float | None) -> tuple[Family, dict]:
@@ -199,10 +205,9 @@ def product_form(
     eps2: float | None = None,
     phi: float | None = None,
 ) -> Ket:
-    """State of the named product-form evolution at time ``t``.
-
-    Families and their parameters (each factor normalized; phases sit on the
-    components each family marks):
+    """State of the named product-form evolution at time ``t``: the tensor
+    product of the factor's copies, each evolved by :func:`evolve` under its
+    own coupling. Families and their parameters (each factor normalized):
 
     * ``psit1`` (eps): two EPR pairs, ``e^{-i*eps*t}`` on each ``|10>``.
     * ``E111`` (eps): three EPR pairs, same phasing.
@@ -215,22 +220,14 @@ def product_form(
       ``e^{-i*(phi+eps)*t}`` on ``|111>`` of cube 3.
     """
     fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
-    copies = []
-    for index, rate in fam.phased:
-        if not math.isfinite(rate(values) * t):  # exp would make a NaN amplitude
-            raise NonFiniteAmplitudeError("amplitudes must be finite")
-        amps = fam.factor.amps.copy()
-        amps[index] *= np.exp(-1j * rate(values) * t)
-        copies.append(Ket(fam.factor.dims, freeze(amps)))
-    return reduce(tensor_product, copies)
+    hs = (_hamiltonian(fam.factor.dims, [(rate(values), p)]) for rate, p in fam.local)
+    return reduce(tensor_product, [evolve(fam.factor, h, t) for h in hs])
 
 
 def multiwise_epr_hamiltonian(eps: float, n_pairs: int = 2) -> DiagonalHamiltonian:
     """Joint-projector coupling of ``n_pairs`` EPR pairs: a single term of
     energy ``eps`` on the joint ``|10>...|10>`` label."""
-    return build_hamiltonian(
-        (2,) * (2 * n_pairs), [HamiltonianTerm(eps, _all_pairs_10_selector(n_pairs))]
-    )
+    return _hamiltonian((2,) * (2 * n_pairs), [(eps, _on_copies(_EPR_10, range(n_pairs)))])
 
 
 def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> DiagonalHamiltonian:
@@ -239,18 +236,14 @@ def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> Diagon
     further pairs uncoupled."""
     if n_pairs < 2:
         raise InvalidCountError("need at least the two coupled pairs")
-    return build_hamiltonian(
-        (2,) * (2 * n_pairs),
-        [HamiltonianTerm(eps1, _all_pairs_10_selector(2)), HamiltonianTerm(eps2, _PAIRS_01)],
-    )
+    terms = [(eps1, _on_copies(_EPR_10, (0, 1))), (eps2, _on_copies(_EPR_01, (0, 1)))]
+    return _hamiltonian((2,) * (2 * n_pairs), terms)
 
 
 def multiwise_ghz_hamiltonian(phi: float, n_cubes: int = 2) -> DiagonalHamiltonian:
     """Joint-projector coupling of ``n_cubes`` GHZ cubes: a single term of
     energy ``phi`` on the all-zeros label."""
-    return build_hamiltonian(
-        (2,) * (3 * n_cubes), [HamiltonianTerm(phi, _all_at(0, range(3 * n_cubes)))]
-    )
+    return _hamiltonian((2,) * (3 * n_cubes), [(phi, _on_copies(_GHZ_000, range(n_cubes)))])
 
 
 def exact_counterpart(
@@ -276,9 +269,8 @@ def exact_counterpart(
       and 3 (the third cube sits at the ``|111>`` corner of the second).
     """
     fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
-    state = reduce(tensor_product, [fam.factor] * len(fam.phased))
-    terms = [HamiltonianTerm(rate(values), selector) for rate, selector in fam.terms]
-    return evolve(state, build_hamiltonian(state.dims, terms), t)
+    state = reduce(tensor_product, [fam.factor] * len(fam.local))
+    return evolve(state, _hamiltonian(state.dims, [(r(values), p) for r, p in fam.joint]), t)
 
 
 @dataclass(frozen=True)

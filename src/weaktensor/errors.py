@@ -9,7 +9,7 @@ class WeakTensorError(Exception):
     """Base class for all domain errors in this package."""
 
 
-class LengthMismatchError(WeakTensorError):
+class LengthMismatchError(WeakTensorError, ValueError):
     """An amplitude or letter sequence has the wrong length."""
 
 

@@ -132,15 +132,16 @@ def freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def read_only_complex(values, shape: int | tuple[int, ...]) -> np.ndarray:
-    """``values`` as a read-only ``complex128`` array of ``shape``: the one
-    conversion of outside values into amplitudes.
+def read_only_complex(values, dims: tuple[int, ...], flat: bool = False) -> np.ndarray:
+    """``values`` as a read-only ``complex128`` array shaped ``dims``, or
+    flat: the one conversion of outside values into amplitudes.
 
     Numbers are values of a bool, integer, float or complex dtype and number
     objects (ints beyond int64, ``Fraction``, numpy scalars). Strings and
     bytes, ``None``, other objects and ragged sequences raise
     :class:`NonNumericAmplitudeError`; an int beyond the float range raises
-    :class:`NonFiniteAmplitudeError`. A ``complex128`` array that is
+    :class:`NonFiniteAmplitudeError`; a count other than ``prod(dims)``
+    raises :class:`LengthMismatchError`. A ``complex128`` array that is
     read-only down to its owning array is kept as a view. Anything else is
     copied and then frozen, as is a reshape that has to copy.
     """
@@ -160,7 +161,10 @@ def read_only_complex(values, shape: int | tuple[int, ...]) -> np.ndarray:
         except (TypeError, ValueError) as err:
             raise NonNumericAmplitudeError("amplitudes must be numbers") from err
         values.setflags(write=False)
-    return freeze(values.reshape(shape))  # a reshape that had to copy owns new memory
+    n = math.prod(dims)
+    if values.size != n:
+        raise LengthMismatchError(f"expected {n} amplitudes for shape {dims}, got {values.size}")
+    return freeze(values.reshape(-1 if flat else dims))  # a copying reshape owns new memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +183,7 @@ class Ket:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        amps = read_only_complex(self.amps, -1)
-        if amps.size != total_dim(dims):
-            raise LengthMismatchError(
-                f"expected {total_dim(dims)} amplitudes for shape {dims}, got {amps.size}"
-            )
+        amps = read_only_complex(self.amps, dims, flat=True)
         if not np.isfinite(amps).all():
             raise NonFiniteAmplitudeError("amplitudes must be finite")
         object.__setattr__(self, "dims", dims)

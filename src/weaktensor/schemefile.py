@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaViolationError, UnknownNameError
-from .hilbert import MAX_DIMENSION, Ket
+from .hilbert import MAX_DIMENSION, Ket, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
@@ -55,7 +55,11 @@ class SchemeDocument:
     total: complex
 
     def to_tensor(self) -> WeakValueTensor:
-        return WeakValueTensor(self.dims, self.components, self.kind, self.overlap)
+        """The tensor, with this document's marginals as its cached ones."""
+        tensor = WeakValueTensor(self.dims, self.components, self.kind, self.overlap)
+        marginals = tuple(read_only_complex(m, (d,)) for m, d in zip(self.marginals, self.dims))
+        object.__setattr__(tensor, "marginals", marginals)  # fills the cached_property
+        return tensor
 
 
 def scheme_document(scenario: Scenario) -> SchemeDocument:

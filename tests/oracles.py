@@ -5,6 +5,7 @@ of small matrices, explicit digit arithmetic) so the masking- and
 phase-based fast paths in the package are checked against a separate route.
 """
 
+import functools
 import itertools
 import math
 
@@ -85,6 +86,20 @@ def kron_phased_factors(factor, phased, t):
         copy[index] *= np.exp(-1j * rate * t)
         out = np.kron(out, copy)
     return out
+
+
+def product_form_loop(factor, phased, t):
+    """The product form as a per-copy loop: copy ``factor``'s amplitudes once
+    per ``(index, rate)`` entry, multiply component ``index`` of the copy by
+    ``np.exp(-1j * rate * t)``, and kron the copies left to right. Unlike
+    :func:`kron_phased_factors` it multiplies by no ``[1]`` seed, so its bits,
+    signed zeros included, are the reference for a byte-for-byte check."""
+    copies = []
+    for index, rate in phased:
+        amps = np.array(factor, dtype=np.complex128)
+        amps[index] *= np.exp(-1j * rate * t)
+        copies.append(amps)
+    return functools.reduce(np.kron, copies)
 
 
 def digit_energies(dims, energy_of_label):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from weaktensor import (
     Ket,
+    LengthMismatchError,
     NonFiniteAmplitudeError,
     NonNumericAmplitudeError,
     WeakValueTensor,
@@ -149,3 +150,21 @@ def test_lists_arrays_and_kets_agree_with_the_complex_oracle(values, data):
         with pytest.raises(NonNumericAmplitudeError):
             build()
 
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ket((2, 2), [1, 2, 3]),
+        lambda: make_ket((2, 2), [1, 2, 3]),
+        lambda: WeakValueTensor((2, 2), [1, 2, 3], "weak", 1),
+        lambda: WeakValueTensor((2, 2), np.zeros(5, np.complex128), "weak", 1),
+    ],
+    ids=["Ket", "make_ket", "WeakValueTensor", "WeakValueTensor-array"],
+)
+def test_a_wrong_count_raises_the_same_error_from_every_builder(build):
+    # the tensor used to fail in numpy's reshape with a bare ValueError
+    with pytest.raises(LengthMismatchError) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith("expected 4 amplitudes for shape (2, 2), got ")

@@ -13,11 +13,18 @@ from hypothesis import strategies as st
 
 from weaktensor import (
     Ket,
+    SchemeDocument,
     SubsystemOutOfRangeError,
+    WeakValueTensor,
+    cheshire,
     expectation_tensor,
     marginalize,
+    render_document,
+    render_grid,
+    scheme_document,
     weak_tensor,
 )
+from weaktensor import weakvalues
 from oracles import marginals_fsum, random_selected_pair, random_state
 
 EPS = np.finfo(np.float64).eps
@@ -70,6 +77,39 @@ def test_marginals_are_cached_and_read_only():
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0] = 7.0
+
+
+def test_text_document_reuses_the_document_marginals(monkeypatch):
+    doc = scheme_document(cheshire())  # rank 2: the grid draws marginal borders
+    calls = []
+    halved = weakvalues._halved_marginals
+    monkeypatch.setattr(
+        weakvalues, "_halved_marginals", lambda *args: calls.append(1) or halved(*args)
+    )
+    text = render_document(doc, "text")
+    assert calls == []
+    tensor = doc.to_tensor()
+    assert all(map(np.shares_memory, tensor.marginals, doc.marginals))
+    monkeypatch.undo()
+    fresh = WeakValueTensor(doc.dims, doc.components, doc.kind, doc.overlap)
+    assert render_grid(fresh, doc.labels) in text.decode("utf-8")
+
+
+def test_hand_built_document_marginals_are_copied_and_frozen():
+    marginals = ([0.25, 0.75], [1.0, 0.0])
+    doc = SchemeDocument(
+        scenario="hand",
+        dims=(2, 2),
+        labels=(("a", "b"), ("c", "d")),
+        kind="weak",
+        overlap=1 + 0j,
+        components=np.array([0.25, 0, 0.75, 0], np.complex128),
+        marginals=marginals,
+        total=1 + 0j,
+    )
+    for got, given_ in zip(doc.to_tensor().marginals, marginals):
+        np.testing.assert_array_equal(got, given_)
+        assert got.dtype == np.complex128 and not got.flags.writeable
 
 
 def test_marginalize_gives_python_complex_values():
