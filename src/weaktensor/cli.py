@@ -12,6 +12,9 @@ Subcommands:
   product-form or exact multiwise-interaction evolution with a phase report.
 * ``realize --levels d --axes n`` - hypercube cell/basis table and diagonal.
 
+Each command returns UTF-8 bytes that :func:`cli_main` writes once, to ``--out``
+or stdout. Option values such as ``-1e3`` and ``-inf`` read as numbers.
+
 Exit codes: 0 on success, 2 on usage errors, 1 on domain errors (the error
 name is written to stderr).
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -40,6 +44,15 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e3`` and ``-inf`` as values, as argparse reads ``-1.5``."""
+
+    def __init__(self, *args, **kwargs):  # subparsers are built from this class too
+        super().__init__(*args, **kwargs)
+        number = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan"
+        self._negative_number_matcher = re.compile(f"^-({number})$", re.IGNORECASE)
+
+
 def _scenario_for(args) -> Scenario:
     name = args.name
     if name in SCENARIO_NAMES:
@@ -54,7 +67,8 @@ def _scenario_for(args) -> Scenario:
 
 
 def _emit(data: bytes, out: str | None) -> None:
-    # stdout gets the bytes --out would write, whatever its text encoding
+    # the one write of a command's output: stdout gets the UTF-8 bytes --out
+    # would hold, whatever stdout's text encoding
     if out is not None:
         with open(out, "wb") as handle:
             handle.write(data)
@@ -65,28 +79,25 @@ def _emit(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _render_scenario(scenario: Scenario, fmt: str, out: str | None) -> int:
-    _emit(render_document(scheme_document(scenario), fmt), out)
-    return 0
+def _lines(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cmd_scenario(args) -> int:
-    for name in SCENARIO_NAMES:
-        print(name)
-    return 0
+def _cmd_scenario(args) -> bytes:
+    return _lines(SCENARIO_NAMES)
 
 
-def _cmd_run(args) -> int:
-    return _render_scenario(_scenario_for(args), args.format, args.out)
+def _cmd_run(args) -> bytes:
+    return render_document(scheme_document(_scenario_for(args)), args.format)
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args) -> bytes:
     pre = read_ket_file(args.pre)
     post = read_ket_file(args.post) if args.post else None
-    return _render_scenario(custom(pre, post), args.format, args.out)
+    return render_document(scheme_document(custom(pre, post)), args.format)
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> bytes:
     family = args.family
     form_family = "psit1" if family == "exact" else family
     for param in FAMILIES[form_family].params:
@@ -99,8 +110,7 @@ def _cmd_evolve(args) -> int:
     state = build(form_family, args.time, **params)
     reference = build(form_family, 0.0, **params)
 
-    lines = [f"family: {family}", f"time: {args.time:g}"]
-    lines.append("amplitudes:")
+    lines = [f"family: {family}", f"time: {args.time:g}", "amplitudes:"]
     shown = np.abs(state.amps) > 1e-12
     labels = itertools.compress(label_strs(state.dims), shown)
     # + 0.0 folds IEEE -0.0 into +0.0
@@ -112,18 +122,16 @@ def _cmd_evolve(args) -> int:
     if args.compare:  # state is already one side of the (exact, form) pair
         sides = {build: state, other: other(form_family, args.time, **params)}
         report = compare_states(*map(sides.get, builders))
-        lines.append("exact vs product form:")
-        lines.append(f"  fidelity: {report.fidelity:.6f}")
-        lines.append(f"  max component diff: {report.max_component_diff:.6f}")
-    print("\n".join(lines))
-    return 0
+        lines += ["exact vs product form:", f"  fidelity: {report.fidelity:.6f}",
+                  f"  max component diff: {report.max_component_diff:.6f}"]
+    return _lines(lines)
 
 
 def _digit_tuple(label) -> str:
     return "(" + ",".join(map(str, label)) + ")"
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> bytes:
     levels, axes = args.levels, args.axes
     if levels < 2 or axes < 1:
         raise _UsageError(f"need --levels >= 2 and --axes >= 1, got {levels} and {axes}")
@@ -132,15 +140,15 @@ def _cmd_realize(args) -> int:
     if axes >= _REALIZE_TABLE_CAP.bit_length() or levels**axes > _REALIZE_TABLE_CAP:
         raise _UsageError(f"table of {levels}**{axes} cells exceeds the cap {_REALIZE_TABLE_CAP}")
     dims = (levels,) * axes
-    print("cell  basis")
+    lines = ["cell  basis"]
     for cell, label in enumerate(basis_labels(dims)):
-        print(f"{cell:>4}  {_digit_tuple(label)}")
-    print("diagonal cells: " + "  ".join(map(_digit_tuple, diagonal_cells(dims))))
-    return 0
+        lines.append(f"{cell:>4}  {_digit_tuple(label)}")
+    lines.append("diagonal cells: " + "  ".join(map(_digit_tuple, diagonal_cells(dims))))
+    return _lines(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weaktensor",
         description="Weak-value tensors of projector products for pre- and "
         "post-selected multi-qudit systems.",
@@ -200,7 +208,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        _emit(args.func(args), getattr(args, "out", None))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -297,12 +297,11 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     after aligning each state's global phase to its largest-magnitude
     component.
     """
-    if a.dims != b.dims:
-        raise ShapeMismatchError(f"shapes differ: {a.dims} vs {b.dims}")
+    overlap = inner(a, b)  # raises ShapeMismatchError for different shapes
     na, nb = norm(a), norm(b)
     if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         raise ZeroVectorError("cannot compare (near-)zero states")
-    fidelity = abs(inner(a, b)) ** 2 / (na**2 * nb**2)
+    fidelity = abs(overlap) ** 2 / (na**2 * nb**2)
     diff = float(np.max(np.abs(_gauge_fixed(a, na) - _gauge_fixed(b, nb))))
     return ComparisonReport(fidelity=float(fidelity), max_component_diff=diff)
 

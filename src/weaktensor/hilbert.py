@@ -57,10 +57,14 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         raise ShapeMismatchError("at least one subsystem is required")
     if any(d < 2 for d in out):
         raise ShapeMismatchError(f"local dimensions must be >= 2, got {out}")
-    if math.prod(out) > MAX_DIMENSION:
-        raise DimensionOverflowError(
-            f"total dimension {math.prod(out)} exceeds the ceiling {MAX_DIMENSION}"
-        )
+    total = 1
+    for k, d in enumerate(out, 1):  # stop early: a long shape's product is huge
+        total *= d
+        if total > MAX_DIMENSION:
+            bound = "" if k == len(out) else "at least "
+            raise DimensionOverflowError(
+                f"total dimension {bound}{total} exceeds the ceiling {MAX_DIMENSION}"
+            )
     return out
 
 
@@ -226,11 +230,7 @@ def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:
 
 def tensor_product(a: Ket, b: Ket) -> Ket:
     """Tensor product; the shape is the concatenation of the two shapes."""
-    dims = a.dims + b.dims
-    if math.prod(dims) > MAX_DIMENSION:
-        raise DimensionOverflowError(
-            f"combined dimension {math.prod(dims)} exceeds the ceiling {MAX_DIMENSION}"
-        )
+    dims = check_dims(a.dims + b.dims)  # before kron allocates the product
     return Ket(dims, freeze(np.kron(a.amps, b.amps)))
 
 
@@ -343,18 +343,13 @@ def apply_pauli_string(letters: str, k: Ket) -> Ket:
     if bad:
         raise UnknownNameError(f"unknown Pauli letters: {sorted(bad)}")
     out = k.amps.reshape(k.dims).copy()
-    lo = [slice(None)] * len(k.dims)
-    hi = [slice(None)] * len(k.dims)
     for axis, letter in enumerate(letters):
-        if letter == "I":
-            continue
-        lo[axis], hi[axis] = 0, 1
+        lo, hi = (ProjectorProduct(((axis, level),)).index(k.dims) for level in (0, 1))
         if letter in "XY":
             out = np.flip(out, axis=axis).copy()
         if letter == "Y":
-            out[tuple(lo)] *= -1j
-            out[tuple(hi)] *= 1j
+            out[lo] *= -1j
+            out[hi] *= 1j
         elif letter == "Z":
-            out[tuple(hi)] *= -1.0
-        lo[axis] = hi[axis] = slice(None)
+            out[hi] *= -1.0
     return Ket(k.dims, freeze(out))

@@ -29,9 +29,7 @@ def _check_grid(levels: int, axes: int) -> None:
 def cell_to_basis(cell: int, levels: int, axes: int) -> tuple[int, ...]:
     """Basis label realized by a grid cell (big-endian base-``levels`` digits)."""
     _check_grid(levels, axes)
-    if not 0 <= cell < levels**axes:
-        raise OutOfRangeError(f"cell {cell} is outside [0, {levels**axes})")
-    return basis_label(cell, (levels,) * axes)
+    return basis_label(cell, (levels,) * axes)  # raises OutOfRangeError off the grid
 
 
 def basis_to_cell(label: Sequence[int], levels: int, axes: int) -> int:
@@ -63,8 +61,6 @@ def is_diagonal_supported(state: Ket, tol: float = 1e-12) -> bool:
     do not necessarily couple their subsystems (they may factorize), which
     is what this predicate screens for.
     """
-    if len(set(state.dims)) != 1:
-        raise NonUniformShapeError(f"diagonal support requires equal dimensions, got {state.dims}")
     shaped = np.abs(state.amps.reshape(state.dims)) ** 2
     off_mass = float(shaped.sum()) - sum(
         float(shaped[label]) for label in diagonal_cells(state.dims)

@@ -30,7 +30,7 @@ from .errors import (
     UnknownNameError,
     WrongScenarioError,
 )
-from .hilbert import Ket, check_dims, check_labels, make_ket, total_dim
+from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, make_ket, total_dim
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
 
 
@@ -98,7 +98,8 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
     """
     if parties < 2 or levels < 2:
         raise InvalidCountError(f"need parties >= 2 and levels >= 2, got ({parties}, {levels})")
-    dims = check_dims((levels,) * parties)
+    # levels >= 2, so bit_length + 1 axes already exceed the ceiling: a longer shape is never built
+    dims = check_dims((levels,) * min(parties, MAX_DIMENSION.bit_length() + 1))
     amps = np.zeros(total_dim(dims), dtype=np.complex128)
     stride = (levels**parties - 1) // (levels - 1)  # flat step between |j...j> and |j+1...j+1>
     diagonal = range(levels) if all_diagonal else (0, levels - 1)
@@ -179,13 +180,10 @@ def ghz3_selected() -> Scenario:
     ``(|000> + |111> - |222>) / sqrt(3)``; the weak tensor has diagonal
     ``(1, 1, -1)`` and zeros elsewhere.
     """
-    s = 1.0 / math.sqrt(3.0)
-    pre_amps = np.zeros(27, dtype=np.complex128)
-    post_amps = np.zeros(27, dtype=np.complex128)
-    pre_amps[[0, 13, 26]] = s
-    post_amps[[0, 13, 26]] = (s, s, -s)
-    dims = (3, 3, 3)
-    return Scenario("ghz3-selected", Ket(dims, pre_amps), Ket(dims, post_amps), None)
+    pre = ghz_ket(3, 3, all_diagonal=True)
+    post = pre.amps.copy()
+    post[-1] = -post[-1].real  # a real negation keeps the +0.0 imaginary part
+    return Scenario("ghz3-selected", pre, Ket(pre.dims, freeze(post)), None)
 
 
 def custom(

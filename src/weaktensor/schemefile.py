@@ -199,6 +199,8 @@ def _load_object(text: str) -> dict:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an over-long integer
+        raise ParseError(str(exc)) from exc
     if not isinstance(data, dict):
         raise SchemaViolationError("$", "expected a JSON object")
     return data

@@ -147,3 +147,26 @@ def marginals_fsum(components, dims):
         ]
         for levels in per_axis
     ]
+
+
+def pauli_string_loop(letters, amps, dims):
+    """A Pauli string applied with hand-kept level slices: for each non-``I``
+    letter, ``X`` and ``Y`` flip the axis, then ``Y`` multiplies level 0 by
+    ``-1j`` and level 1 by ``1j`` and ``Z`` multiplies level 1 by ``-1.0``.
+    Returns the flat complex128 result."""
+    out = np.asarray(amps, dtype=np.complex128).reshape(dims).copy()
+    lo = [slice(None)] * len(dims)
+    hi = [slice(None)] * len(dims)
+    for axis, letter in enumerate(letters):
+        if letter == "I":
+            continue
+        lo[axis], hi[axis] = 0, 1
+        if letter in "XY":
+            out = np.flip(out, axis=axis).copy()
+        if letter == "Y":
+            out[tuple(lo)] *= -1j
+            out[tuple(hi)] *= 1j
+        elif letter == "Z":
+            out[tuple(hi)] *= -1.0
+        lo[axis] = hi[axis] = slice(None)
+    return out.reshape(-1)

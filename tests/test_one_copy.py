@@ -1,0 +1,137 @@
+"""One copy of each rule: the CLI writes every command's output through one
+write site, and the basis helpers that used to restate a rule of
+``hilbert`` give the same bits and errors through the rule itself."""
+
+import itertools
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import weaktensor
+import weaktensor.cli as cli
+from weaktensor import (
+    DimensionOverflowError,
+    ShapeMismatchError,
+    apply_pauli_string,
+    basis_state,
+    cli_main,
+    compare_states,
+    ghz3_selected,
+    make_ket,
+    tensor_product,
+)
+
+from oracles import pauli_string_loop
+
+LINE_COMMANDS = [
+    ("scenario", "list"),
+    ("evolve", "--family", "psit1", "--eps", "0.8", "--time", "1.3", "--compare"),
+    ("evolve", "--family", "exact", "--eps", "0.8", "--time", "1.3"),
+    ("realize", "--levels", "3", "--axes", "2"),
+]
+
+
+def _subprocess_env(**extra):
+    src = os.path.dirname(os.path.dirname(weaktensor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_every_command_writes_utf8_whatever_the_stdout_encoding(capsys):
+    env = _subprocess_env(PYTHONIOENCODING="utf-16")
+    for argv in [*LINE_COMMANDS, ("run", "cheshire")]:
+        assert cli_main(list(argv)) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        done = subprocess.run([sys.executable, "-m", "weaktensor", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        assert done.stdout == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*LINE_COMMANDS, ("run", "hardy", "--format", "json"), ("run", "ghz", "--format", "svg")],
+)
+def test_each_command_is_written_once_through_emit(capsys, monkeypatch, argv):
+    writes = []
+    monkeypatch.setattr(cli, "_emit", lambda data, out: writes.append((data, out)))
+    assert cli_main(list(argv)) == 0
+    assert capsys.readouterr().out == ""  # nothing is printed beside the one write
+    assert len(writes) == 1 and isinstance(writes[0][0], bytes) and writes[0][1] is None
+
+
+def test_a_failing_command_writes_nothing(capsys, monkeypatch):
+    writes = []
+    monkeypatch.setattr(cli, "_emit", lambda data, out: writes.append(data))
+    assert cli_main(["realize", "--levels", "1", "--axes", "3"]) == 2
+    assert writes == [] and capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------- Pauli strings
+
+
+def _signed_zero_state(rng, dims):
+    # real and imaginary parts drawn from +-0.0, +-1.5 and Gaussians
+    n = int(np.prod(dims))
+    pool = np.array([0.0, -0.0, 1.5, -1.5])
+    parts = np.where(rng.random(2 * n) < 0.5, pool[rng.integers(0, 4, 2 * n)],
+                     rng.standard_normal(2 * n))
+    return parts.view(np.complex128)
+
+
+def _letter_strings(rank, rng):
+    if rank <= 4:
+        yield from map("".join, itertools.product("IXYZ", repeat=rank))
+    else:
+        for letter, axis in itertools.product("IXYZ", range(rank)):
+            others = rng.choice(list("IXYZ"), rank)
+            others[axis] = letter
+            yield "".join(others)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_pauli_strings_match_the_hand_sliced_loop_bit_for_bit(rank):
+    rng = np.random.default_rng(100 + rank)
+    dims = (2,) * rank
+    for letters in _letter_strings(rank, rng):
+        amps = _signed_zero_state(rng, dims)
+        got = apply_pauli_string(letters, make_ket(dims, amps)).amps
+        assert got.tobytes() == pauli_string_loop(letters, amps, dims).tobytes(), letters
+
+
+# ---------------------------------------------------------------- basis helpers
+
+
+def test_ghz3_selected_amplitudes_are_the_literal_arrays():
+    s = 0.5773502691896258  # 1 / sqrt(3)
+    pre = np.zeros(54)
+    pre[[0, 26, 52]] = s
+    post = pre.copy()
+    post[52] = -s
+    scenario = ghz3_selected()
+    assert scenario.pre.amps.view(np.float64).tobytes() == pre.tobytes()
+    assert scenario.post.amps.view(np.float64).tobytes() == post.tobytes()
+    assert not np.signbit(scenario.post.amps.imag).any()  # +0.0 imaginary parts
+
+
+def test_tensor_product_over_the_ceiling_raises_before_kron(monkeypatch):
+    a, b = basis_state((2,) * 10, (0,) * 10), basis_state((2,) * 11, (1,) * 11)
+
+    def no_kron(*args):
+        raise AssertionError("np.kron ran before the dimension check")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(DimensionOverflowError):
+        tensor_product(a, b)
+
+
+def test_compare_states_takes_its_shape_rule_from_inner():
+    one, pair = basis_state((2,), (0,)), basis_state((2, 2), (0, 1))
+    zero = make_ket((2, 2), [0, 0, 0, 0])
+    for a, b in ((one, pair), (one, zero)):  # the shape check comes before the zero check
+        with pytest.raises(ShapeMismatchError) as info:
+            compare_states(a, b)
+        assert str(info.value) == "shapes differ: (2,) vs (2, 2)"
