@@ -33,7 +33,7 @@ from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report,
 from .errors import WeakTensorError
 from .hilbert import basis_labels
 from .realization import diagonal_cells
-from .render import label_str, label_strs
+from .render import check_svg_rank, label_str, label_strs
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
 from .schemefile import read_ket_file, read_scenario_file, render_document, scheme_document
 
@@ -45,12 +45,20 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e3`` and ``-inf`` as values, as argparse reads ``-1.5``."""
+    """Reads ``-1e3`` and ``-inf`` as values, as argparse reads ``-1.5``, and
+    writes ``--help`` as UTF-8 bytes, as every command writes its output."""
 
     def __init__(self, *args, **kwargs):  # subparsers are built from this class too
         super().__init__(*args, **kwargs)
         number = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan"
         self._negative_number_matcher = re.compile(f"^-({number})$", re.IGNORECASE)
+
+    def print_help(self, file=None):
+        # --help is output too: UTF-8 through the one write site
+        if file is None:
+            _emit(self.format_help().encode("utf-8"), None)
+        else:
+            super().print_help(file)
 
 
 def _scenario_for(args) -> Scenario:
@@ -93,6 +101,8 @@ def _cmd_run(args) -> bytes:
 
 def _cmd_tensor(args) -> bytes:
     pre = read_ket_file(args.pre)
+    if args.format == "svg":  # refuse before the post file is read
+        check_svg_rank(len(pre.dims))
     post = read_ket_file(args.post) if args.post else None
     return render_document(scheme_document(custom(pre, post)), args.format)
 

@@ -161,6 +161,12 @@ def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14)
     )
 
 
+def check_svg_rank(rank: int) -> None:
+    """Raise :class:`UnsupportedRankError` unless SVG can draw ``rank`` axes."""
+    if rank not in (2, 3):
+        raise UnsupportedRankError(f"SVG rendering supports ranks 2 and 3, got rank {rank}")
+
+
 def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None) -> bytes:
     """Static SVG 1.1 rendering of a rank-2 or rank-3 tensor.
 
@@ -170,8 +176,7 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     along axis 0 with the cube diagonal cells outlined. Output is
     deterministic byte-for-byte.
     """
-    if t.rank not in (2, 3):
-        raise UnsupportedRankError(f"SVG rendering supports ranks 2 and 3, got rank {t.rank}")
+    check_svg_rank(t.rank)
     labels = check_labels(labels, t.dims)
     flat = t.components.reshape(-1)
     texts = fmt_reals(flat)

@@ -21,6 +21,7 @@ doubles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaViolationError, UnknownNameError
-from .hilbert import MAX_DIMENSION, Ket, read_only_complex
+from .hilbert import MAX_DIMENSION, Ket, freeze, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
@@ -163,10 +164,10 @@ def _require_field(obj: dict, field: str, parent: str = "") -> object:
     return obj[field]
 
 
-def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != expected:
-        raise SchemaViolationError(field, f"expected a list of {expected} [re, im] pairs")
-    amps = np.empty(expected, dtype=np.complex128)
+def _first_bad_amp(raw: list, field: str) -> None:
+    """Raise the schema error of the first entry of ``raw`` that is not an
+    ``[re, im]`` pair of finite numbers, naming it ``field[k]``. It only
+    locates an error; a list without one (say of tuples) is let through."""
     for k, entry in enumerate(raw):
         if (
             not isinstance(entry, (list, tuple))
@@ -175,13 +176,35 @@ def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
         ):
             raise SchemaViolationError(f"{field}[{k}]", "expected an [re, im] pair of numbers")
         try:
-            value = complex(float(entry[0]), float(entry[1]))
+            finite = all(map(math.isfinite, entry))
         except OverflowError:  # an integer literal beyond the float range
-            raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite") from None
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            finite = False
+        if not finite:
             raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite")
-        amps[k] = value
-    return amps
+
+
+def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
+    """The ``[re, im]`` pairs of ``raw`` as a read-only ``complex128`` array:
+    one type scan, one conversion and one finiteness check over the whole
+    list, with the per-entry checks run only to name a bad ``field[k]``."""
+    if not isinstance(raw, list) or len(raw) != expected:
+        raise SchemaViolationError(field, f"expected a list of {expected} [re, im] pairs")
+    numbers = itertools.chain.from_iterable
+    # JSON gives lists, ints and floats; a bool's type is bool, not int
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, numbers(raw))) <= {int, float}
+    ):
+        _first_bad_amp(raw, field)
+    try:
+        floats = np.fromiter(numbers(raw), np.float64, 2 * expected)
+        finite = np.isfinite(floats).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _first_bad_amp(raw, field)
+    return freeze(floats).view(np.complex128)
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -214,7 +237,9 @@ def _parse_shape(raw: object) -> tuple[int, ...]:
         or any(d < 2 for d in raw)
     ):
         raise SchemaViolationError("shape", "expected a list of integers >= 2")
-    if math.prod(raw) > MAX_DIMENSION:
+    # more entries of at least 2 than this already pass the ceiling; testing
+    # the count first keeps a long list from a quadratic-time product
+    if len(raw) >= MAX_DIMENSION.bit_length() or math.prod(raw) > MAX_DIMENSION:
         raise SchemaViolationError("shape", f"total dimension exceeds the ceiling {MAX_DIMENSION}")
     return tuple(raw)
 

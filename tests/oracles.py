@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from weaktensor.errors import SchemaViolationError
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -170,3 +172,27 @@ def pauli_string_loop(letters, amps, dims):
             out[tuple(hi)] *= -1.0
         lo[axis] = hi[axis] = slice(None)
     return out.reshape(-1)
+
+
+def parse_amps_loop(raw: object, field: str, expected: int) -> np.ndarray:
+    """JSON ``[re, im]`` pairs read one entry at a time: a type and length
+    check, then ``complex(float, float)`` and a finiteness check per pair.
+    Returns the flat complex128 amplitudes."""
+    if not isinstance(raw, list) or len(raw) != expected:
+        raise SchemaViolationError(field, f"expected a list of {expected} [re, im] pairs")
+    amps = np.empty(expected, dtype=np.complex128)
+    for k, entry in enumerate(raw):
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        ):
+            raise SchemaViolationError(f"{field}[{k}]", "expected an [re, im] pair of numbers")
+        try:
+            value = complex(float(entry[0]), float(entry[1]))
+        except OverflowError:  # an integer literal beyond the float range
+            raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite") from None
+        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite")
+        amps[k] = value
+    return amps
