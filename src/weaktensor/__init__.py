@@ -2,6 +2,8 @@
 multi-qudit systems, with scenario catalogs, multiwise-interaction dynamics,
 hypercube realizations, and grid/SVG rendering."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionOverflowError,
     DuplicateSubsystemError,
@@ -113,102 +115,5 @@ from .cli import cli_main
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_DIMENSION",
-    "ORTHO_TOL",
-    "PRODUCT_FAMILIES",
-    "SCENARIO_NAMES",
-    "ComparisonReport",
-    "DiagonalHamiltonian",
-    "HamiltonianTerm",
-    "Ket",
-    "ProjectorProduct",
-    "Scenario",
-    "SchemeDocument",
-    "WeakValueTensor",
-    "apply_pauli_string",
-    "apply_projector_product",
-    "basis_label",
-    "basis_labels",
-    "basis_state",
-    "basis_to_cell",
-    "bell",
-    "build_hamiltonian",
-    "build_named",
-    "cell_to_basis",
-    "check_dims",
-    "cheshire",
-    "cli_main",
-    "compare_states",
-    "custom",
-    "diagonal_cells",
-    "document_to_json",
-    "epr_pair",
-    "evolve",
-    "exact_counterpart",
-    "expectation_tensor",
-    "flat_index",
-    "ghz",
-    "ghz3_selected",
-    "ghz_ket",
-    "hardy",
-    "hardy_gamma",
-    "hardy_overlap_labels",
-    "inner",
-    "is_diagonal_supported",
-    "make_ket",
-    "marginalize",
-    "multiwise_epr_hamiltonian",
-    "multiwise_ghz_hamiltonian",
-    "norm",
-    "normalize",
-    "paired_epr_hamiltonian",
-    "parse_scenario",
-    "phase_report",
-    "product_form",
-    "read_ket_file",
-    "read_scenario_file",
-    "render_cube",
-    "render_document",
-    "render_grid",
-    "render_svg",
-    "scenario_to_json",
-    "scheme_document",
-    "selection_overlap",
-    "stabilizer_eigenvalue",
-    "tensor_product",
-    "total_dim",
-    "total_sum",
-    "weak_tensor",
-    "weak_value",
-    "weak_value_observable",
-    "write_scenario_file",
-    "write_scheme",
-    # errors
-    "WeakTensorError",
-    "DimensionOverflowError",
-    "DuplicateSubsystemError",
-    "InvalidCountError",
-    "LabelMismatchError",
-    "LengthMismatchError",
-    "LevelOutOfRangeError",
-    "MissingParamError",
-    "NonFiniteAmplitudeError",
-    "NonFiniteEnergyError",
-    "NonNumericAmplitudeError",
-    "NonQubitShapeError",
-    "NonUniformShapeError",
-    "NotThreeAxesError",
-    "NotTwoAxesError",
-    "OrthogonalSelectionError",
-    "OutOfRangeError",
-    "ParseError",
-    "SchemaViolationError",
-    "ShapeMismatchError",
-    "SubsystemOutOfRangeError",
-    "UnknownFamilyError",
-    "UnknownNameError",
-    "UnsupportedRankError",
-    "WrongScenarioError",
-    "ZeroVectorError",
-]
+#: The public API: every name bound above that is neither private nor a submodule.
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
@@ -44,12 +45,30 @@ from .hilbert import (
     inner,
     norm,
     tensor_product,
-    total_dim,
 )
 from .scenarios import ghz_ket
 
 #: Both amplitudes must exceed this for a label to appear in a phase report.
 PHASE_AMP_TOL = 1e-12
+
+
+def _real_floats(values, name: str) -> np.ndarray:
+    """``values`` as a new ``float64`` array, if real as :class:`NonFiniteEnergyError` says."""
+    try:
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":  # objects one by one, other dtypes by one value
+            items = values.flat if values.dtype == object else [values.dtype.type()]
+            if not all(isinstance(v, (numbers.Complex, np.bool_)) for v in items):  # no Decimal
+                raise TypeError(f"a {values.dtype} array of non-numbers")
+            values = np.array(values, dtype=np.complex128)
+            if values.imag.any():
+                raise TypeError("a nonzero imaginary part")
+            values = values.real
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        raise NonFiniteEnergyError(f"{name} must be finite") from None
+    except (TypeError, ValueError) as err:
+        raise NonFiniteEnergyError(f"{name} must be real") from err
 
 
 @dataclass(frozen=True)
@@ -60,8 +79,10 @@ class HamiltonianTerm:
     selector: ProjectorProduct
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise NonFiniteEnergyError(f"coupling must be finite, got {self.coupling}")
+        coupling = _real_floats(self.coupling, "coupling")
+        if coupling.ndim or not math.isfinite(coupling):  # one finite number
+            raise NonFiniteEnergyError(f"coupling must be finite, got {coupling}")
+        object.__setattr__(self, "coupling", float(coupling))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +94,10 @@ class DiagonalHamiltonian:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        energies = np.array(self.energies, dtype=np.float64).reshape(-1)
-        if energies.size != total_dim(dims):
+        energies = _real_floats(self.energies, "energies").reshape(-1)
+        if energies.size != math.prod(dims):
             raise ShapeMismatchError(
-                f"expected {total_dim(dims)} energies for shape {dims}, got {energies.size}"
+                f"expected {math.prod(dims)} energies for shape {dims}, got {energies.size}"
             )
         if not np.all(np.isfinite(energies)):
             raise NonFiniteEnergyError("energies must be finite")
@@ -92,7 +113,7 @@ def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> 
     whose selector matches the label; overlapping terms add.
     """
     dims = check_dims(dims)
-    energies = np.zeros(total_dim(dims), dtype=np.float64)
+    energies = np.zeros(math.prod(dims), dtype=np.float64)
     shaped = energies.reshape(dims)
     for term in terms:
         shaped[term.selector.index(dims)] += term.coupling

@@ -23,7 +23,8 @@ class NonNumericAmplitudeError(WeakTensorError, ValueError):
 
 
 class NonFiniteEnergyError(WeakTensorError, ValueError):
-    """A Hamiltonian coupling or energy is NaN or infinite."""
+    """A Hamiltonian coupling or energy is not a finite real number (a bool, integer,
+    float or ``numbers.Real`` value, or a complex one with imaginary part exactly 0)."""
 
 
 class DimensionOverflowError(WeakTensorError):

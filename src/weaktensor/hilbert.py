@@ -99,7 +99,7 @@ def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
 
 def basis_label(index: int, dims: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`flat_index`."""
-    d_total = total_dim(dims)
+    d_total = math.prod(dims)
     if not 0 <= index < d_total:
         raise OutOfRangeError(f"flat index {index} is outside [0, {d_total})")
     digits = []
@@ -223,7 +223,7 @@ def make_ket(dims: Sequence[int], amps: Iterable[complex]) -> Ket:
 def basis_state(dims: Sequence[int], label: Sequence[int]) -> Ket:
     """Computational-basis state |label>."""
     dims = check_dims(dims)
-    amps = np.zeros(total_dim(dims), dtype=np.complex128)
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[flat_index(label, dims)] = 1.0
     return Ket(dims, freeze(amps))
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonQubitShapeError, NonUniformShapeError, OutOfRangeError
-from .hilbert import Ket, apply_pauli_string, basis_label, inner, normalize
+from .hilbert import Ket, apply_pauli_string, basis_label, freeze, inner, norm, normalize
 
 #: Component-wise tolerance for declaring an eigenstate.
 EIGENSTATE_TOL = 1e-10
@@ -55,17 +55,13 @@ def diagonal_cells(dims: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def is_diagonal_supported(state: Ket, tol: float = 1e-12) -> bool:
-    """True when all amplitude mass outside the diagonal cells is below tol.
-
-    Mass is the sum of squared magnitudes. States with off-diagonal support
-    do not necessarily couple their subsystems (they may factorize), which
-    is what this predicate screens for.
-    """
-    shaped = np.abs(state.amps.reshape(state.dims)) ** 2
-    off_mass = float(shaped.sum()) - sum(
-        float(shaped[label]) for label in diagonal_cells(state.dims)
-    )
-    return off_mass < tol
+    """True when the mass (squared norm) outside the diagonal cells is at most
+    the fraction ``tol`` of the state's, whatever its scale; the zero ket passes.
+    Off-diagonal states do not necessarily couple their subsystems (they may
+    factorize), which is what this predicate screens for."""
+    off = state.amps.reshape(state.dims).copy()
+    off[tuple(zip(*diagonal_cells(state.dims)))] = 0
+    return norm(Ket(state.dims, freeze(off))) <= np.sqrt(tol) * norm(state)
 
 
 def stabilizer_eigenvalue(state: Ket, letters: str) -> float | None:

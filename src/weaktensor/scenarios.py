@@ -30,7 +30,7 @@ from .errors import (
     UnknownNameError,
     WrongScenarioError,
 )
-from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, make_ket, total_dim
+from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, make_ket
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
 
 
@@ -100,7 +100,7 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
         raise InvalidCountError(f"need parties >= 2 and levels >= 2, got ({parties}, {levels})")
     # levels >= 2, so bit_length + 1 axes already exceed the ceiling: a longer shape is never built
     dims = check_dims((levels,) * min(parties, MAX_DIMENSION.bit_length() + 1))
-    amps = np.zeros(total_dim(dims), dtype=np.complex128)
+    amps = np.zeros(math.prod(dims), dtype=np.complex128)
     stride = (levels**parties - 1) // (levels - 1)  # flat step between |j...j> and |j+1...j+1>
     diagonal = range(levels) if all_diagonal else (0, levels - 1)
     amps[[j * stride for j in diagonal]] = 1.0 / math.sqrt(len(diagonal))

@@ -130,7 +130,7 @@ def as_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(st.lists(number, min_size=2, max_size=12), st.data())
 def test_lists_arrays_and_kets_agree_with_the_complex_oracle(values, data):
     expected = oracle(values)

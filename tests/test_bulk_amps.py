@@ -64,7 +64,7 @@ def one_odd_entry(draw):
     return raw
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(raw=st.one_of(valid_lists, one_odd_entry(), one_odd_entry(), st.lists(entries, max_size=12)))
 def test_bulk_parse_matches_the_per_entry_loop(raw):
     raw = json.loads(json.dumps(raw))  # only what a JSON file can hold

@@ -118,8 +118,7 @@ def test_amplitudes_beyond_1e150_keep_their_weak_values(tmp_path):
 
 
 def fuzz(examples):
-    return settings(derandomize=True, database=None, deadline=None, max_examples=examples,
-                    suppress_health_check=[HealthCheck.too_slow])
+    return settings(max_examples=examples, suppress_health_check=[HealthCheck.too_slow])
 
 
 def one_in(n):

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -376,9 +378,19 @@ def test_phase_report_range():
 def test_non_finite_energies_are_domain_errors():
     from weaktensor import DiagonalHamiltonian, NonFiniteEnergyError, WeakTensorError
 
-    for bad in (float("nan"), float("inf")):
+    # not one real number: a nonzero imaginary part (also NaN), strings, None, a list;
+    # beyond the float range: 10**400
+    for bad in (float("nan"), float("inf"), 1 + 1j, 1j, complex(0, float("nan")), "x", "1.5",
+                None, [1.0, 2.0], 10**400):
         with pytest.raises(NonFiniteEnergyError) as info:
             HamiltonianTerm(bad, ProjectorProduct())
         assert isinstance(info.value, WeakTensorError) and isinstance(info.value, ValueError)
         with pytest.raises(NonFiniteEnergyError):
             DiagonalHamiltonian((2,), [0.0, bad])
+    for bad in (np.array([1 + 1j, 0]), ["a", 0], [Fraction(1, 2), Decimal("1.5")]):
+        with pytest.raises(NonFiniteEnergyError):
+            DiagonalHamiltonian((2,), bad)
+    # real: bool, integer and float values, numbers.Real objects, complex with imag exactly 0
+    for good in ([True, 1], [np.int8(1), 1.0], [Fraction(1), np.float32(1)], np.array([1 + 0j, 1])):
+        assert np.array_equal(DiagonalHamiltonian((2,), good).energies, [1.0, 1.0])
+    assert HamiltonianTerm(1 + 0j, ProjectorProduct()).coupling == 1.0

@@ -231,7 +231,7 @@ def test_scenario_json_with_and_without_post():
 BITS = st.integers(0, 2**64 - 1)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(BITS, BITS), min_size=1, max_size=12))
 def test_any_float64_bit_pattern(bit_pairs):
     components = np.array(bit_pairs, dtype=np.uint64).reshape(-1).view(np.complex128)

@@ -35,7 +35,7 @@ def random_weak_tensor(seed, dims):
     return weak_tensor(Ket(dims, pre), Ket(dims, post))
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80)
 @given(
     st.lists(st.integers(2, 5), min_size=1, max_size=6),
     st.integers(0, 2**32 - 1),

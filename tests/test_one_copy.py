@@ -1,11 +1,14 @@
 """One copy of each rule: the CLI writes every command's output through one
-write site, and the basis helpers that used to restate a rule of
-``hilbert`` give the same bits and errors through the rule itself."""
+write site, the basis helpers that used to restate a rule of ``hilbert``
+give the same bits and errors through the rule itself, and the package's
+imports are its only statement of the public API."""
 
+import inspect
 import itertools
 import os
 import subprocess
 import sys
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -135,3 +138,27 @@ def test_compare_states_takes_its_shape_rule_from_inner():
         with pytest.raises(ShapeMismatchError) as info:
             compare_states(a, b)
         assert str(info.value) == "shapes differ: (2,) vs (2, 2)"
+
+
+# ---------------------------------------------------------------- public API
+
+
+def test_all_is_derived_from_the_package_imports():
+    names = weaktensor.__all__
+    assert names == sorted(set(names))
+    assert not [name for name in names if name.startswith("_")]
+    submodules = [v for v in vars(weaktensor).values() if isinstance(v, ModuleType)]
+    for name in names:
+        value = getattr(weaktensor, name)
+        assert not isinstance(value, ModuleType), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__.startswith("weaktensor."), name
+        else:  # a constant: bound in a submodule, not in the package itself
+            assert any(vars(module).get(name) is value for module in submodules), name
+    # no stray public module, such as a bare ``import types`` would leave behind
+    for name, value in vars(weaktensor).items():
+        if isinstance(value, ModuleType) and not name.startswith("_"):
+            assert value.__name__ == f"weaktensor.{name}", name
+    # exported although no test imports them through the package
+    assert {"MAX_DIMENSION", "ORTHO_TOL", "PRODUCT_FAMILIES", "ComparisonReport", "Scenario",
+            "selection_overlap", "total_dim"} <= set(names)

@@ -77,8 +77,10 @@ def test_diagonal_cells_non_uniform():
 
 @pytest.mark.parametrize("parties,levels", [(2, 2), (3, 2), (3, 3), (4, 2), (2, 4)])
 def test_ghz_states_are_diagonal_supported(parties, levels):
-    assert is_diagonal_supported(ghz_ket(parties, levels), tol=1e-12)
-    assert is_diagonal_supported(ghz_ket(parties, levels, all_diagonal=True), tol=1e-12)
+    # tol is a fraction of the state's mass; at 2**600 the squares overflow
+    for state in (ghz_ket(parties, levels), ghz_ket(parties, levels, all_diagonal=True)):
+        for scale in (2.0**-600, 1.0, 2.0**500, 2.0**600):
+            assert is_diagonal_supported(Ket(state.dims, state.amps * scale), tol=1e-12)
 
 
 def test_factorizable_state_is_not_diagonal_supported():
@@ -86,6 +88,10 @@ def test_factorizable_state_is_not_diagonal_supported():
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[1] = S2
     assert not is_diagonal_supported(Ket((2, 2, 2), amps))
+    # a quarter of the mass off the diagonal, however small the amplitudes
+    amps = np.zeros(27, dtype=complex)
+    amps[0], amps[1] = math.sqrt(3.0) * 1e-7, 1e-7
+    assert not is_diagonal_supported(Ket((3, 3, 3), amps))
 
 
 def test_single_diagonal_cell_state():
