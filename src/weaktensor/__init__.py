@@ -80,6 +80,7 @@ from .dynamics import (
     ComparisonReport,
     DiagonalHamiltonian,
     HamiltonianTerm,
+    PhaseReport,
     build_hamiltonian,
     compare_states,
     epr_pair,

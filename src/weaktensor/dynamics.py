@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import index, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
     NonFiniteEnergyError,
     ShapeMismatchError,
     UnknownFamilyError,
+    WeakTensorError,
     ZeroVectorError,
 )
 from .hilbert import (
@@ -41,6 +43,7 @@ from .hilbert import (
     ProjectorProduct,
     basis_labels,
     check_dims,
+    flat_index,
     freeze,
     inner,
     norm,
@@ -121,11 +124,14 @@ def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> 
 
 
 def evolve(state: Ket, h: DiagonalHamiltonian, t: float) -> Ket:
-    """Exact evolution: amplitude k is multiplied by exp(-i * E_k * t)."""
+    """Exact evolution: amplitude k is multiplied by exp(-i * E_k * t). The
+    time is one real number, by the rule couplings and energies follow."""
     if state.dims != h.dims:
         raise ShapeMismatchError(f"state shape {state.dims} differs from {h.dims}")
-    # a non-finite angle E_k * t makes a NaN amplitude: refuse it up front,
-    # without numpy's overflow / invalid-value warnings
+    t = _real_floats(t, "time")
+    if t.ndim:
+        raise NonFiniteEnergyError(f"time must be one number, got shape {t.shape}")
+    # refuse a non-finite angle E_k * t (a NaN amplitude) without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(h.energies * t).all()
     if not finite:
@@ -327,20 +333,43 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     return ComparisonReport(fidelity=float(fidelity), max_component_diff=diff)
 
 
-def phase_report(state: Ket, reference: Ket) -> dict[tuple[int, ...], float]:
-    """Relative phase ``arg(state_k / reference_k)`` per basis label.
+class PhaseReport(Mapping):
+    """The read-only mapping :func:`phase_report` returns, from basis label to
+    phase over the ``keep`` mask, its kept flat ``indices`` and its ``phases``."""
 
-    Only labels where both amplitudes exceed :data:`PHASE_AMP_TOL` are
-    reported; phases lie in ``(-pi, pi]``.
-    """
+    def __init__(self, dims: tuple[int, ...], keep: np.ndarray, phases: np.ndarray):
+        self.dims, self.keep, self.phases = dims, freeze(keep), freeze(phases)
+        self.indices = freeze(np.flatnonzero(keep))
+
+    def __getitem__(self, label) -> float:
+        try:  # a tuple of integer levels within dims, the keys a dict would hold
+            k = flat_index(tuple(map(index, label)), self.dims)
+            if isinstance(label, tuple) and self.keep[k]:
+                return self.phases.item(self.indices.searchsorted(k))
+        except (TypeError, WeakTensorError):
+            pass
+        raise KeyError(label)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.compress(basis_labels(self.dims), self.keep)
+
+    def __len__(self) -> int:
+        return self.phases.size
+
+    def values(self) -> list[float]:  # one tolist(), not a lookup per label
+        return self.phases.tolist()
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
+        return zip(self, self.values())
+
+
+def phase_report(state: Ket, reference: Ket) -> PhaseReport:
+    """Relative phase ``arg(state_k / reference_k)``, in ``(-pi, pi]``, per basis
+    label where both amplitudes exceed :data:`PHASE_AMP_TOL`."""
     if state.dims != reference.dims:
         raise ShapeMismatchError(f"shapes differ: {state.dims} vs {reference.dims}")
     s, r = state.amps, reference.amps
     keep = (np.abs(s) > PHASE_AMP_TOL) & (np.abs(r) > PHASE_AMP_TOL)
     phases = np.angle(s[keep] / r[keep]) + 0.0  # folds -0.0 into +0.0
     phases[phases <= -math.pi] += 2.0 * math.pi
-    # labels are streamed, never listed: at 2^20 a list of them would add
-    # hundreds of megabytes of tuples next to the dict. The values come from
-    # one tolist(), whose floats the dict keeps anyway, instead of a float()
-    # call per numpy scalar.
-    return dict(zip(itertools.compress(basis_labels(state.dims), keep), phases.tolist()))
+    return PhaseReport(state.dims, keep, phases)

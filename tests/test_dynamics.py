@@ -375,6 +375,26 @@ def test_phase_report_range():
     assert phase == pytest.approx(-math.pi + 0.1)
 
 
+def test_time_must_be_one_real_number():
+    from weaktensor import NonFiniteAmplitudeError, NonFiniteEnergyError
+
+    h = multiwise_epr_hamiltonian(1.0, 1)
+    # not one real number: a complex value, a string, None, an array
+    for bad in (2j, "1", None, np.array([1.0, 2.0])):
+        with pytest.raises(NonFiniteEnergyError):
+            evolve(epr_pair(), h, bad)
+    for route in (product_form, exact_counterpart):
+        with pytest.raises(NonFiniteEnergyError):
+            route("psit1", 3j, eps=1.0)
+    # a real but non-finite time still makes a non-finite angle
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteAmplitudeError, match="amplitudes must be finite"):
+            evolve(epr_pair(), h, bad)
+    want = evolve(epr_pair(), h, 2.0).amps.tobytes()
+    for good in (2, np.int64(2), np.float32(2.0), Fraction(2), 2 + 0j, np.array(2.0)):
+        assert evolve(epr_pair(), h, good).amps.tobytes() == want
+
+
 def test_non_finite_energies_are_domain_errors():
     from weaktensor import DiagonalHamiltonian, NonFiniteEnergyError, WeakTensorError
 

@@ -5,23 +5,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weaktensor import Ket, basis_label, basis_labels, phase_report
+from weaktensor import Ket, PhaseReport, basis_label, basis_labels, phase_report
 from weaktensor.dynamics import PHASE_AMP_TOL
 from oracles import phase_report_loop, random_state
 
 SHAPES = [(2,), (3,), (2, 3, 5), (3, 3, 4, 2), (5, 2, 2, 3), (2,) * 8]
 
 
+def bits(values):
+    # bit patterns, so a -0.0 against +0.0 difference would show
+    return [np.float64(v).tobytes() for v in values]
+
+
 def assert_same_report(state, reference):
     got = phase_report(state, reference)
     want = phase_report_loop(state, reference, PHASE_AMP_TOL)
+    assert isinstance(got, PhaseReport)
+    assert got == want and want == got
+    assert dict(got) == want
+    assert len(got) == len(want)
     assert list(got) == list(want)
     assert all(type(v) is float for v in got.values())
-    # bit patterns, so a -0.0 against +0.0 difference would show
-    assert [np.float64(v).tobytes() for v in got.values()] == [
-        np.float64(v).tobytes() for v in want.values()
-    ]
+    assert bits(got.values()) == bits(want.values())
+    items = list(got.items())
+    assert [label for label, _ in items] == list(want)
+    assert bits(phase for _, phase in items) == bits(want.values())
+    assert bits(got[label] for label in want) == bits(want.values())
     return got
 
 
@@ -86,3 +98,40 @@ def test_magnitudes_at_and_just_above_the_tolerance():
     got = assert_same_report(state, reference)
     assert (0, 0) not in got and (1, 1) not in got
     assert (0, 1) in got and (1, 0) in got and (1, 2) in got
+
+
+def test_lookups_that_miss_are_key_errors():
+    state = Ket((2, 3), np.array([0.0, 1, 1, 1, 1, 1]))
+    report = phase_report(state, Ket((2, 3), np.ones(6)))
+    # filtered, wrong length, out of range, negative, not integers, not a label
+    misses = [(0, 0), (0,), (0, 1, 0), (2, 0), (0, 3), (-1, 0), (0.5, 0), (1.0, 0),
+              [0, 1], 1, "01", None]
+    for key in misses:
+        with pytest.raises(KeyError):
+            report[key]
+        assert key not in report
+        assert report.get(key) is None
+    with pytest.raises(TypeError):
+        report[(0, 1)] = 0.0
+    with pytest.raises(ValueError):
+        report.phases[0] = 1.0
+    # integer levels of other types are found, as they are in a dict
+    for key in [(np.int64(1), True), (True, np.int64(2))]:
+        assert key in report and report[key] == dict(report)[key] == 0.0
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=6).filter(lambda d: math.prod(d) <= 4096),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.5),
+)
+def test_random_shapes_with_zeros_on_either_side_match_the_loop(dims, seed, drop_s, drop_r):
+    dims = tuple(dims)
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    s, r = random_state(rng, dims), random_state(rng, dims)
+    s[rng.random(d) < drop_s] = 0.0
+    r[rng.random(d) < drop_r] = 0.0
+    assert_same_report(Ket(dims, s), Ket(dims, r))
