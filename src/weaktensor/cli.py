@@ -110,10 +110,10 @@ def _cmd_tensor(args) -> bytes:
 def _cmd_evolve(args) -> bytes:
     family = args.family
     form_family = "psit1" if family == "exact" else family
-    for param in FAMILIES[form_family].params:
-        if getattr(args, param) is None:
+    params = {p: getattr(args, p) for p in FAMILIES[form_family].params}
+    for param, value in params.items():
+        if value is None:
             raise _UsageError(f"family {family} requires --{param}")
-    params = {p: getattr(args, p) for p in ("eps", "eps2", "phi") if getattr(args, p) is not None}
 
     builders = (exact_counterpart, product_form)  # compared in this (exact, form) order
     build, other = builders if family == "exact" else builders[::-1]
@@ -194,9 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="product-form family, or 'exact' for exact evolution of the "
         "two-EPR-pair system",
     )
-    p_evolve.add_argument("--eps", type=float, default=None)
-    p_evolve.add_argument("--eps2", type=float, default=None)
-    p_evolve.add_argument("--phi", type=float, default=None)
+    for param in dict.fromkeys(p for f in FAMILIES.values() for p in f.params):  # first seen
+        p_evolve.add_argument(f"--{param}", type=float, default=None)
     p_evolve.add_argument("--time", type=float, required=True)
     p_evolve.add_argument(
         "--compare", action="store_true", help="report exact vs product-form fidelity"

@@ -22,7 +22,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .errors import (
     NonFiniteEnergyError,
     ShapeMismatchError,
     UnknownFamilyError,
+    UnknownNameError,
     WeakTensorError,
     ZeroVectorError,
 )
@@ -41,6 +42,8 @@ from .hilbert import (
     ZERO_NORM_TOL,
     Ket,
     ProjectorProduct,
+    _integers,
+    basis_label,
     basis_labels,
     check_dims,
     flat_index,
@@ -215,26 +218,22 @@ def _hamiltonian(dims: Sequence[int], terms: Iterable[tuple[float, ProjectorProd
     return build_hamiltonian(dims, [HamiltonianTerm(energy, p) for energy, p in terms])
 
 
-def _family(name: str, **params: float | None) -> tuple[Family, dict]:
+def _family(name: str, params: dict) -> tuple[Family, dict]:
     if name not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {name!r}; expected one of {PRODUCT_FAMILIES}")
     family = FAMILIES[name]
     for param in family.params:
-        if params[param] is None:
+        if params.get(param) is None:
             raise MissingParamError(f"family {name!r} requires parameter {param!r}")
+    for param in sorted(set(params) - set(family.params)):  # the first unknown name
+        raise UnknownNameError(f"family {name!r} takes no parameter {param!r}")
     return family, {param: float(params[param]) for param in family.params}
 
 
-def product_form(
-    family: str,
-    t: float,
-    eps: float | None = None,
-    eps2: float | None = None,
-    phi: float | None = None,
-) -> Ket:
+def product_form(family: str, t: float, **params: float) -> Ket:
     """State of the named product-form evolution at time ``t``: the tensor
     product of the factor's copies, each evolved by :func:`evolve` under its
-    own coupling. Families and their parameters (each factor normalized):
+    own coupling. Families and their keyword parameters (each factor normalized):
 
     * ``psit1`` (eps): two EPR pairs, ``e^{-i*eps*t}`` on each ``|10>``.
     * ``E111`` (eps): three EPR pairs, same phasing.
@@ -246,7 +245,7 @@ def product_form(
       ``|000>`` of cube 1, ``e^{+i*eps*t}`` on ``|000>`` of cube 2 and
       ``e^{-i*(phi+eps)*t}`` on ``|111>`` of cube 3.
     """
-    fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
+    fam, values = _family(family, params)
     hs = (_hamiltonian(fam.factor.dims, [(rate(values), p)]) for rate, p in fam.local)
     return reduce(tensor_product, [evolve(fam.factor, h, t) for h in hs])
 
@@ -254,6 +253,7 @@ def product_form(
 def multiwise_epr_hamiltonian(eps: float, n_pairs: int = 2) -> DiagonalHamiltonian:
     """Joint-projector coupling of ``n_pairs`` EPR pairs: a single term of
     energy ``eps`` on the joint ``|10>...|10>`` label."""
+    (n_pairs,) = _integers((n_pairs,), InvalidCountError, "pair count")
     return _hamiltonian((2,) * (2 * n_pairs), [(eps, _on_copies(_EPR_10, range(n_pairs)))])
 
 
@@ -261,6 +261,7 @@ def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> Diagon
     """Two-term coupling of EPR pairs 1 and 2: ``eps1`` on the joint
     ``|10>|10>`` label and ``eps2`` on the joint ``|01>|01>`` label, with any
     further pairs uncoupled."""
+    (n_pairs,) = _integers((n_pairs,), InvalidCountError, "pair count")
     if n_pairs < 2:
         raise InvalidCountError("need at least the two coupled pairs")
     terms = [(eps1, _on_copies(_EPR_10, (0, 1))), (eps2, _on_copies(_EPR_01, (0, 1)))]
@@ -270,16 +271,11 @@ def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> Diagon
 def multiwise_ghz_hamiltonian(phi: float, n_cubes: int = 2) -> DiagonalHamiltonian:
     """Joint-projector coupling of ``n_cubes`` GHZ cubes: a single term of
     energy ``phi`` on the all-zeros label."""
+    (n_cubes,) = _integers((n_cubes,), InvalidCountError, "cube count")
     return _hamiltonian((2,) * (3 * n_cubes), [(phi, _on_copies(_GHZ_000, range(n_cubes)))])
 
 
-def exact_counterpart(
-    family: str,
-    t: float,
-    eps: float | None = None,
-    eps2: float | None = None,
-    phi: float | None = None,
-) -> Ket:
+def exact_counterpart(family: str, t: float, **params: float) -> Ket:
     """Exact diagonal evolution of the system behind a product-form family.
 
     The initial state is the product of EPR pairs or GHZ cubes and the
@@ -295,7 +291,7 @@ def exact_counterpart(
       cubes 1 and 2 and ``phi + eps`` on the all-ones label of cubes 2
       and 3 (the third cube sits at the ``|111>`` corner of the second).
     """
-    fam, values = _family(family, eps=eps, eps2=eps2, phi=phi)
+    fam, values = _family(family, params)
     state = reduce(tensor_product, [fam.factor] * len(fam.local))
     return evolve(state, _hamiltonian(state.dims, [(r(values), p) for r, p in fam.joint]), t)
 
@@ -343,10 +339,10 @@ class PhaseReport(Mapping):
 
     def __getitem__(self, label) -> float:
         try:  # a tuple of integer levels within dims, the keys a dict would hold
-            k = flat_index(tuple(map(index, label)), self.dims)
+            k = flat_index(label, self.dims)
             if isinstance(label, tuple) and self.keep[k]:
                 return self.phases.item(self.indices.searchsorted(k))
-        except (TypeError, WeakTensorError):
+        except WeakTensorError:
             pass
         raise KeyError(label)
 
@@ -355,6 +351,11 @@ class PhaseReport(Mapping):
 
     def __len__(self) -> int:
         return self.phases.size
+
+    def __repr__(self) -> str:  # the first four items only: a 2^20 report prints at once
+        pairs = zip(self.indices[:4].tolist(), self.phases[:4].tolist())
+        shown = [f"{basis_label(k, self.dims)}: {p}" for k, p in pairs] + ["..."] * (len(self) > 4)
+        return f"PhaseReport(dims={self.dims}, {len(self)} phases, {{{', '.join(shown)}}})"
 
     def values(self) -> list[float]:  # one tolist(), not a lookup per label
         return self.phases.tolist()

@@ -47,7 +47,11 @@ class DuplicateSubsystemError(WeakTensorError):
     """A projector product names the same subsystem more than once."""
 
 
-class LevelOutOfRangeError(WeakTensorError):
+class OutOfRangeError(WeakTensorError):
+    """A cell index or digit is outside its valid range."""
+
+
+class LevelOutOfRangeError(OutOfRangeError):
     """A basis level is not valid for its subsystem dimension."""
 
 
@@ -86,10 +90,6 @@ class MissingParamError(WeakTensorError):
 
 class NonUniformShapeError(WeakTensorError):
     """An operation requiring equal local dimensions got a mixed shape."""
-
-
-class OutOfRangeError(WeakTensorError):
-    """A cell index or digit is outside its valid range."""
 
 
 class NotTwoAxesError(WeakTensorError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -50,9 +51,18 @@ _SMALL_NORM = 2.0**-480
 PAULI_LETTERS = "IXYZ"
 
 
+def _integers(values: Iterable, error: type[Exception], what: str) -> tuple[int, ...]:
+    """The one integer rule: ``values`` through :func:`operator.index`, so ints, bools
+    and numpy integers pass and a float, a string or ``None`` raises ``error``."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"expected integer {what}, got {values!r}") from None
+
+
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     """Validate subsystem dimensions and return them as a tuple."""
-    out = tuple(int(d) for d in dims)
+    out = _integers(dims, ShapeMismatchError, "local dimensions")
     if len(out) < 1:
         raise ShapeMismatchError("at least one subsystem is required")
     if any(d < 2 for d in out):
@@ -86,9 +96,10 @@ def total_dim(dims: Sequence[int]) -> int:
 
 
 def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
-    """Big-endian flat index of a basis label."""
+    """Big-endian flat index of a basis label: the one reader of a full label."""
+    label = _integers(label, LevelOutOfRangeError, "levels")
     if len(label) != len(dims):
-        raise LengthMismatchError(f"label {tuple(label)} does not match shape {tuple(dims)}")
+        raise LengthMismatchError(f"label {label} does not match shape {tuple(dims)}")
     idx = 0
     for lvl, d in zip(label, dims):
         if not 0 <= lvl < d:
@@ -99,6 +110,7 @@ def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
 
 def basis_label(index: int, dims: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`flat_index`."""
+    (index,) = _integers((index,), OutOfRangeError, "flat index")
     d_total = math.prod(dims)
     if not 0 <= index < d_total:
         raise OutOfRangeError(f"flat index {index} is outside [0, {d_total})")
@@ -286,7 +298,7 @@ class ProjectorProduct:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        canon = tuple(sorted((int(s), int(lvl)) for s, lvl in self.factors))
+        canon = tuple(sorted(_integers(f, LevelOutOfRangeError, "factor") for f in self.factors))
         subsystems = [s for s, _ in canon]
         if len(set(subsystems)) != len(subsystems):
             raise DuplicateSubsystemError(f"duplicate subsystem in {canon}")

@@ -13,13 +13,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonQubitShapeError, NonUniformShapeError, OutOfRangeError
-from .hilbert import Ket, apply_pauli_string, basis_label, freeze, inner, norm, normalize
+from .hilbert import (
+    Ket, _integers, apply_pauli_string, basis_label, flat_index, freeze, inner, norm, normalize
+)
 
 #: Component-wise tolerance for declaring an eigenstate.
 EIGENSTATE_TOL = 1e-10
 
 
 def _check_grid(levels: int, axes: int) -> None:
+    levels, axes = _integers((levels, axes), OutOfRangeError, "levels and axes")
     if levels < 2:
         raise OutOfRangeError(f"levels must be >= 2, got {levels}")
     if axes < 1:
@@ -37,12 +40,7 @@ def basis_to_cell(label: Sequence[int], levels: int, axes: int) -> int:
     _check_grid(levels, axes)
     if len(label) != axes:
         raise OutOfRangeError(f"label {tuple(label)} does not have {axes} digits")
-    cell = 0
-    for digit in label:
-        if not 0 <= digit < levels:
-            raise OutOfRangeError(f"digit {digit} is outside [0, {levels})")
-        cell = cell * levels + digit
-    return cell
+    return flat_index(label, (levels,) * axes)  # a LevelOutOfRangeError is an OutOfRangeError
 
 
 def diagonal_cells(dims: Sequence[int]) -> list[tuple[int, ...]]:

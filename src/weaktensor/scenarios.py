@@ -26,11 +26,10 @@ from .errors import (
     InvalidCountError,
     MissingParamError,
     NonFiniteAmplitudeError,
-    ShapeMismatchError,
     UnknownNameError,
     WrongScenarioError,
 )
-from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, make_ket
+from .hilbert import MAX_DIMENSION, Ket, _integers, check_dims, check_labels, freeze, make_ket
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
 
 
@@ -51,12 +50,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "axis_labels", check_labels(self.axis_labels, self.pre.dims))
-        if self.post is not None:
-            if self.post.dims != self.pre.dims:
-                raise ShapeMismatchError(
-                    f"post shape {self.post.dims} differs from pre shape {self.pre.dims}"
-                )
-            selection_overlap(self.pre, self.post)
+        self.overlap()  # refuses an orthogonal selection and a post shape other than pre's
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -96,6 +90,7 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
     Two-term form ``(|0...0> + |(levels-1)...(levels-1)>) / sqrt(2)`` by
     default; ``all_diagonal`` yields the uniform sum over every ``|j...j>``.
     """
+    parties, levels = _integers((parties, levels), InvalidCountError, "parties and levels")
     if parties < 2 or levels < 2:
         raise InvalidCountError(f"need parties >= 2 and levels >= 2, got ({parties}, {levels})")
     # levels >= 2, so bit_length + 1 axes already exceed the ceiling: a longer shape is never built

@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaViolationError, UnknownNameError
-from .hilbert import MAX_DIMENSION, Ket, freeze, read_only_complex
+from .errors import (
+    DimensionOverflowError, ParseError, SchemaViolationError, UnknownNameError, WeakTensorError
+)
+from .hilbert import MAX_DIMENSION, Ket, check_dims, freeze, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
@@ -230,18 +232,13 @@ def _load_object(text: str) -> dict:
 
 
 def _parse_shape(raw: object) -> tuple[int, ...]:
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in raw)
-        or any(d < 2 for d in raw)
-    ):
-        raise SchemaViolationError("shape", "expected a list of integers >= 2")
-    # more entries of at least 2 than this already pass the ceiling; testing
-    # the count first keeps a long list from a quadratic-time product
-    if len(raw) >= MAX_DIMENSION.bit_length() or math.prod(raw) > MAX_DIMENSION:
-        raise SchemaViolationError("shape", f"total dimension exceeds the ceiling {MAX_DIMENSION}")
-    return tuple(raw)
+    try:  # of JSON values only a list of integers >= 2 passes: true and false are 1 and 0
+        return check_dims(raw)
+    except DimensionOverflowError:
+        message = f"total dimension exceeds the ceiling {MAX_DIMENSION}"
+    except WeakTensorError:
+        message = "expected a list of integers >= 2"
+    raise SchemaViolationError("shape", message)
 
 
 def parse_scenario(text: str, name: str = "custom") -> Scenario:

@@ -21,7 +21,9 @@ from .errors import (
     ShapeMismatchError,
     SubsystemOutOfRangeError,
 )
-from .hilbert import Ket, ProjectorProduct, freeze, inner, norm, normalize, read_only_complex
+from .hilbert import (
+    Ket, ProjectorProduct, _integers, flat_index, freeze, inner, norm, normalize, read_only_complex
+)
 
 #: Relative orthogonality tolerance: a selection is rejected when
 #: ``|<post|pre>| <= ORTHO_TOL * norm(pre) * norm(post)``. The relative form
@@ -73,7 +75,7 @@ class WeakValueTensor:
         return len(self.dims)
 
     def component(self, label: Sequence[int]) -> complex:
-        return complex(self.components[tuple(label)])
+        return complex(self.components.flat[flat_index(label, self.dims)])
 
     @cached_property
     def marginals(self) -> tuple[np.ndarray, ...]:
@@ -135,6 +137,7 @@ def marginalize(t: WeakValueTensor, keep: int) -> list[complex]:
     probabilities. All axes come from one cached reduction,
     :attr:`WeakValueTensor.marginals`.
     """
+    (keep,) = _integers((keep,), SubsystemOutOfRangeError, "axis")
     if not 0 <= keep < t.rank:
         raise SubsystemOutOfRangeError(f"axis {keep} not in a rank-{t.rank} tensor")
     return t.marginals[keep].tolist()

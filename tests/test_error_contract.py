@@ -12,18 +12,25 @@ from weaktensor import (
     Ket,
     NonFiniteAmplitudeError,
     NonNumericAmplitudeError,
+    OutOfRangeError,
+    SubsystemOutOfRangeError,
     UnknownNameError,
     WeakTensorError,
     WeakValueTensor,
     apply_pauli_string,
     bell,
     build_named,
+    cell_to_basis,
+    cheshire,
     epr_pair,
     evolve,
+    ghz_ket,
     hardy,
     hardy_gamma,
     make_ket,
+    marginalize,
     multiwise_epr_hamiltonian,
+    multiwise_ghz_hamiltonian,
     paired_epr_hamiltonian,
     product_form,
     render_document,
@@ -122,3 +129,29 @@ def test_make_ket_reads_none_as_a_non_number_not_a_nan(amps):
 def test_make_ket_still_reports_a_nan_as_non_finite():
     with pytest.raises(NonFiniteAmplitudeError):
         make_ket((2,), [math.nan, 1])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ghz_ket(2.5, 2), InvalidCountError),
+        (lambda: build_named("ghz", parties=2.5), InvalidCountError),
+        (lambda: ghz_ket(2, 2.5), InvalidCountError),
+        (lambda: multiwise_epr_hamiltonian(1, 2.5), InvalidCountError),
+        (lambda: paired_epr_hamiltonian(1, 1, 2.5), InvalidCountError),
+        (lambda: multiwise_ghz_hamiltonian(1, 2.5), InvalidCountError),
+        (lambda: cell_to_basis(1, 2.5, 2), OutOfRangeError),
+        (lambda: cell_to_basis(1, 2, 1.5), OutOfRangeError),
+        (lambda: marginalize(cheshire().tensor(), 1.5), SubsystemOutOfRangeError),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_a_bool_or_numpy_count_is_an_integer():
+    t = cheshire().tensor()
+    assert marginalize(t, True) == marginalize(t, 1)
+    assert cell_to_basis(np.int64(5), np.int64(2), 3) == (1, 0, 1)
+    assert ghz_ket(np.int64(3), 2).dims == (2, 2, 2)

@@ -1,7 +1,8 @@
 """One copy of each rule: the CLI writes every command's output through one
 write site, the basis helpers that used to restate a rule of ``hilbert``
-give the same bits and errors through the rule itself, and the package's
-imports are its only statement of the public API."""
+give the same bits and errors through the rule itself, the input rules
+(family parameters, integers, labels, shapes) are each stated once, and the
+package's imports are its only statement of the public API."""
 
 import inspect
 import itertools
@@ -17,15 +18,30 @@ import weaktensor
 import weaktensor.cli as cli
 from weaktensor import (
     DimensionOverflowError,
+    OutOfRangeError,
+    ProjectorProduct,
+    SchemaViolationError,
     ShapeMismatchError,
+    UnknownNameError,
+    WeakTensorError,
+    WeakValueTensor,
     apply_pauli_string,
+    basis_labels,
     basis_state,
+    basis_to_cell,
+    check_dims,
     cli_main,
     compare_states,
+    exact_counterpart,
+    flat_index,
     ghz3_selected,
     make_ket,
+    phase_report,
+    product_form,
     tensor_product,
 )
+from weaktensor.dynamics import FAMILIES
+from weaktensor.schemefile import _parse_shape
 
 from oracles import pauli_string_loop
 
@@ -138,6 +154,96 @@ def test_compare_states_takes_its_shape_rule_from_inner():
         with pytest.raises(ShapeMismatchError) as info:
             compare_states(a, b)
         assert str(info.value) == "shapes differ: (2,) vs (2, 2)"
+
+
+# ---------------------------------------------------------------- input rules
+
+
+def test_evolve_flags_are_the_family_table_names_in_first_seen_order():
+    evolve = cli.build_parser()._subparsers._group_actions[0].choices["evolve"]
+    flags = [a.dest for a in evolve._actions if a.type is float and a.dest != "time"]
+    names = list(dict.fromkeys(p for family in FAMILIES.values() for p in family.params))
+    assert flags == names == ["eps", "eps2", "phi"]
+
+
+@pytest.mark.parametrize("build", [product_form, exact_counterpart])
+def test_family_builders_take_exactly_the_family_parameters(build):
+    params = inspect.signature(build).parameters
+    assert list(params) == ["family", "t", "params"]
+    assert params["params"].kind is inspect.Parameter.VAR_KEYWORD
+    for name, family in FAMILIES.items():
+        given = dict.fromkeys(family.params, 0.5)
+        build(name, 1.0, **given)
+        for extra in {"eps", "eps2", "phi", "zeta"} - set(family.params):
+            with pytest.raises(UnknownNameError) as info:
+                build(name, 1.0, **given, **{extra: 0.5})
+            assert str(info.value) == f"family {name!r} takes no parameter {extra!r}"
+    with pytest.raises(UnknownNameError, match="no parameter 'eps2'"):  # the first, sorted
+        build("psit1", 1.0, eps=0.5, zeta=1.0, phi=1.0, eps2=1.0)
+
+
+BAD_LABELS = [(-1, 0, 0), (2, 0, 0), (0.5, 0, 0), ("0", 0, 0), (0, 0), (0, 0, 0, 0)]
+
+
+def test_every_full_label_is_read_by_flat_index():
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(18)
+    amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    ket = make_ket(dims, amps)
+    tensor = WeakValueTensor(dims, amps, "weak", 1.0 + 0.0j)
+    report = phase_report(ket, make_ket(dims, np.ones(12)))
+    assert len(report) == 12
+    for label in basis_labels(dims):
+        k = flat_index(label, dims)
+        assert ket.amplitude(label) == tensor.component(label) == amps[k]
+        assert report[label] == float(np.angle(amps[k]))
+    for label in BAD_LABELS:
+        with pytest.raises(WeakTensorError) as info:
+            flat_index(label, dims)
+        error = type(info.value)
+        for read in (ket.amplitude, tensor.component):
+            with pytest.raises(WeakTensorError) as info:
+                read(label)
+            assert type(info.value) is error, (read, label)
+        assert label not in report and report.get(label) is None
+        with pytest.raises(OutOfRangeError):
+            basis_to_cell(label, 2, 3)
+
+
+SHAPES = {"1": [2, 1], "float": [2.0, 2], "true": [True, 2], "string": "22", "object": {},
+          "empty": [], "null": None, "number": 5, "string-entry": [2, "2"], "3^14": [3] * 14,
+          "2^20": [2] * 20, "2^21": [2] * 21, "2^300000": [2] * 300_000}
+
+
+def _passes(rule, shape):
+    try:
+        rule(shape)
+    except WeakTensorError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_a_json_shape_passes_exactly_when_check_dims_passes_it(shape):
+    assert _passes(_parse_shape, shape) == _passes(check_dims, shape)
+    if not _passes(check_dims, shape):
+        with pytest.raises(SchemaViolationError):
+            _parse_shape(shape)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_dims((2.7, 2)),
+        lambda: check_dims(("3",)),
+        lambda: check_dims(None),
+        lambda: ProjectorProduct(((0.7, 1.9),)),
+        lambda: ProjectorProduct((("0", "1"),)),
+    ],
+)
+def test_dims_and_projector_levels_are_integers_never_truncated(call):
+    with pytest.raises(WeakTensorError):
+        call()
 
 
 # ---------------------------------------------------------------- public API

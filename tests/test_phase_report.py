@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaktensor import Ket, PhaseReport, basis_label, basis_labels, phase_report
+from weaktensor import (
+    Ket, PhaseReport, basis_label, basis_labels, basis_state, make_ket, phase_report
+)
 from weaktensor.dynamics import PHASE_AMP_TOL
 from oracles import phase_report_loop, random_state
 
@@ -135,3 +137,24 @@ def test_random_shapes_with_zeros_on_either_side_match_the_loop(dims, seed, drop
     s[rng.random(d) < drop_s] = 0.0
     r[rng.random(d) < drop_r] = 0.0
     assert_same_report(Ket(dims, s), Ket(dims, r))
+
+
+def test_repr_shows_dims_length_and_the_first_four_items():
+    state = make_ket((2, 3), [1, 1j, -1, 0, 1, 1])
+    report = phase_report(state, make_ket((2, 3), [1] * 6))
+    assert repr(report) == (
+        "PhaseReport(dims=(2, 3), 5 phases, {(0, 0): 0.0, (0, 1): 1.5707963267948966, "
+        "(0, 2): 3.141592653589793, (1, 1): 0.0, ...})"
+    )
+    empty = phase_report(make_ket((2,), [0, 1]), make_ket((2,), [1, 0]))
+    assert repr(empty) == "PhaseReport(dims=(2,), 0 phases, {})"
+
+
+def test_repr_of_a_2_to_the_16_report_is_bounded():
+    dims = (2,) * 16
+    full = phase_report(make_ket(dims, np.full(2**16, 1j)), make_ket(dims, np.ones(2**16)))
+    text = repr(full)
+    assert len(full) == 2**16 and text.count(": ") == 4 and text.endswith(", ...})")
+    assert len(text) < 400  # five labels of 16 levels, not 65536
+    last = phase_report(basis_state(dims, (1,) * 16), make_ket(dims, np.ones(2**16)))
+    assert repr(last) == f"PhaseReport(dims={dims}, 1 phases, {{{(1,) * 16}: 0.0}})"
