@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -30,7 +29,6 @@ import numpy as np
 from .errors import (
     InvalidCountError,
     MissingParamError,
-    NonFiniteAmplitudeError,
     NonFiniteEnergyError,
     ShapeMismatchError,
     UnknownFamilyError,
@@ -43,6 +41,7 @@ from .hilbert import (
     Ket,
     ProjectorProduct,
     _integers,
+    _reals,
     basis_label,
     basis_labels,
     check_dims,
@@ -58,25 +57,6 @@ from .scenarios import ghz_ket
 PHASE_AMP_TOL = 1e-12
 
 
-def _real_floats(values, name: str) -> np.ndarray:
-    """``values`` as a new ``float64`` array, if real as :class:`NonFiniteEnergyError` says."""
-    try:
-        values = np.asarray(values)
-        if values.dtype.kind not in "biuf":  # objects one by one, other dtypes by one value
-            items = values.flat if values.dtype == object else [values.dtype.type()]
-            if not all(isinstance(v, (numbers.Complex, np.bool_)) for v in items):  # no Decimal
-                raise TypeError(f"a {values.dtype} array of non-numbers")
-            values = np.array(values, dtype=np.complex128)
-            if values.imag.any():
-                raise TypeError("a nonzero imaginary part")
-            values = values.real
-        return np.array(values, dtype=np.float64)
-    except OverflowError:  # an int beyond the float range
-        raise NonFiniteEnergyError(f"{name} must be finite") from None
-    except (TypeError, ValueError) as err:
-        raise NonFiniteEnergyError(f"{name} must be real") from err
-
-
 @dataclass(frozen=True)
 class HamiltonianTerm:
     """A coupling energy attached to a projector product (hbar = 1)."""
@@ -85,10 +65,10 @@ class HamiltonianTerm:
     selector: ProjectorProduct
 
     def __post_init__(self):
-        coupling = _real_floats(self.coupling, "coupling")
-        if coupling.ndim or not math.isfinite(coupling):  # one finite number
+        coupling = _reals(self.coupling, "coupling", one=True)
+        if not math.isfinite(coupling):
             raise NonFiniteEnergyError(f"coupling must be finite, got {coupling}")
-        object.__setattr__(self, "coupling", float(coupling))
+        object.__setattr__(self, "coupling", coupling)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +80,13 @@ class DiagonalHamiltonian:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        energies = _real_floats(self.energies, "energies").reshape(-1)
+        energies = freeze(_reals(self.energies, "energies").reshape(-1))
         if energies.size != math.prod(dims):
             raise ShapeMismatchError(
                 f"expected {math.prod(dims)} energies for shape {dims}, got {energies.size}"
             )
         if not np.all(np.isfinite(energies)):
             raise NonFiniteEnergyError("energies must be finite")
-        energies.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "energies", energies)
 
@@ -131,15 +110,11 @@ def evolve(state: Ket, h: DiagonalHamiltonian, t: float) -> Ket:
     time is one real number, by the rule couplings and energies follow."""
     if state.dims != h.dims:
         raise ShapeMismatchError(f"state shape {state.dims} differs from {h.dims}")
-    t = _real_floats(t, "time")
-    if t.ndim:
-        raise NonFiniteEnergyError(f"time must be one number, got shape {t.shape}")
-    # refuse a non-finite angle E_k * t (a NaN amplitude) without numpy's warnings
+    t = _reals(t, "time", one=True)
+    # a non-finite angle E_k * t makes a NaN amplitude, which Ket refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(h.energies * t).all()
-    if not finite:
-        raise NonFiniteAmplitudeError("amplitudes must be finite")
-    return Ket(state.dims, freeze(state.amps * np.exp(-1j * h.energies * t)))
+        amps = state.amps * np.exp(-1j * h.energies * t)
+    return Ket(state.dims, freeze(amps))
 
 
 def epr_pair() -> Ket:
@@ -227,7 +202,7 @@ def _family(name: str, params: dict) -> tuple[Family, dict]:
             raise MissingParamError(f"family {name!r} requires parameter {param!r}")
     for param in sorted(set(params) - set(family.params)):  # the first unknown name
         raise UnknownNameError(f"family {name!r} takes no parameter {param!r}")
-    return family, {param: float(params[param]) for param in family.params}
+    return family, {param: _reals(params[param], param, one=True) for param in family.params}
 
 
 def product_form(family: str, t: float, **params: float) -> Ket:
@@ -254,6 +229,8 @@ def multiwise_epr_hamiltonian(eps: float, n_pairs: int = 2) -> DiagonalHamiltoni
     """Joint-projector coupling of ``n_pairs`` EPR pairs: a single term of
     energy ``eps`` on the joint ``|10>...|10>`` label."""
     (n_pairs,) = _integers((n_pairs,), InvalidCountError, "pair count")
+    if n_pairs < 1:
+        raise InvalidCountError(f"need at least one pair, got {n_pairs}")
     return _hamiltonian((2,) * (2 * n_pairs), [(eps, _on_copies(_EPR_10, range(n_pairs)))])
 
 
@@ -272,6 +249,8 @@ def multiwise_ghz_hamiltonian(phi: float, n_cubes: int = 2) -> DiagonalHamiltoni
     """Joint-projector coupling of ``n_cubes`` GHZ cubes: a single term of
     energy ``phi`` on the all-zeros label."""
     (n_cubes,) = _integers((n_cubes,), InvalidCountError, "cube count")
+    if n_cubes < 1:
+        raise InvalidCountError(f"need at least one cube, got {n_cubes}")
     return _hamiltonian((2,) * (3 * n_cubes), [(phi, _on_copies(_GHZ_000, range(n_cubes)))])
 
 

@@ -18,13 +18,13 @@ class NonFiniteAmplitudeError(WeakTensorError):
 
 
 class NonNumericAmplitudeError(WeakTensorError, ValueError):
-    """An amplitude or component is not a number (a string, a nested
-    sequence or another object)."""
+    """An amplitude, tensor component or operator entry is not a number (a string,
+    ``Decimal``, a nested sequence or another object)."""
 
 
 class NonFiniteEnergyError(WeakTensorError, ValueError):
-    """A Hamiltonian coupling or energy is not a finite real number (a bool, integer,
-    float or ``numbers.Real`` value, or a complex one with imaginary part exactly 0)."""
+    """A coupling, energy, evolution time, family parameter or gamma is not a real number
+    (imaginary part exactly 0), or a coupling or energy is not finite."""
 
 
 class DimensionOverflowError(WeakTensorError):

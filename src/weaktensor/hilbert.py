@@ -28,6 +28,7 @@ from .errors import (
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteAmplitudeError,
+    NonFiniteEnergyError,
     NonNumericAmplitudeError,
     NonQubitShapeError,
     OutOfRangeError,
@@ -148,35 +149,60 @@ def freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def read_only_complex(values, dims: tuple[int, ...], flat: bool = False) -> np.ndarray:
-    """``values`` as a read-only ``complex128`` array shaped ``dims``, or
-    flat: the one conversion of outside values into amplitudes.
+def _numbers(values, what: str, real: bool = False) -> np.ndarray:
+    """The one number rule: ``values`` as a new ``complex128`` array, or
+    ``float64`` when ``real``, copied once. Numbers are values of a bool,
+    integer, float or complex dtype and ``numbers.Complex`` or ``np.bool_``
+    objects, converted as ``complex(x)`` does; a real one has an imaginary
+    part of exactly 0. Anything else (``Decimal``, strings, bytes, ``None``,
+    other objects, ragged sequences) raises ``{what} must be numbers`` (or
+    ``real``), an int beyond the float range ``{what} must be finite``: a
+    :class:`NonFiniteEnergyError` when ``real``, an amplitude error if not."""
+    try:
+        values = np.asarray(values)
+        owned = values.dtype == object
+        if owned:  # objects of number types only (np.bool_ is no Number), in one pass
+            types = set(map(type, values.flat))
+            if not all(issubclass(t, (numbers.Complex, np.bool_)) for t in types):
+                raise TypeError("an object that is not a number")
+            values = values.astype(np.complex128)
+        elif values.dtype.kind not in "biufc":
+            raise TypeError(f"a {values.dtype} array")
+        if real and values.dtype.kind == "c":
+            if values.imag.any():
+                raise TypeError("a nonzero imaginary part")
+            values = values.real
+        return np.array(values, np.float64 if real else np.complex128, copy=not owned)
+    except OverflowError:  # an int beyond the float range
+        error = NonFiniteEnergyError if real else NonFiniteAmplitudeError
+        raise error(f"{what} must be finite") from None
+    except (TypeError, ValueError) as err:
+        error = NonFiniteEnergyError if real else NonNumericAmplitudeError
+        raise error(f"{what} must be {'real' if real else 'numbers'}") from err
 
-    Numbers are values of a bool, integer, float or complex dtype and number
-    objects (ints beyond int64, ``Fraction``, numpy scalars). Strings and
-    bytes, ``None``, other objects and ragged sequences raise
-    :class:`NonNumericAmplitudeError`; an int beyond the float range raises
-    :class:`NonFiniteAmplitudeError`; a count other than ``prod(dims)``
-    raises :class:`LengthMismatchError`. A ``complex128`` array that is
-    read-only down to its owning array is kept as a view. Anything else is
-    copied and then frozen, as is a reshape that has to copy.
+
+def _reals(values, what: str, one: bool = False):
+    """``values`` by the number rule as a new ``float64`` array, or as one
+    ``float`` when ``one``: the reader of couplings, energies, times, family
+    parameters and gamma. It checks the type, not finiteness."""
+    values = _numbers(values, what, real=True)
+    if one and values.ndim:
+        raise NonFiniteEnergyError(f"{what} must be one number, got shape {values.shape}")
+    return float(values) if one else values
+
+
+def read_only_complex(values, dims: tuple | None = None, flat: bool = False) -> np.ndarray:
+    """``values`` by the number rule as a read-only ``complex128`` array
+    shaped ``dims`` (as given when ``None``), or flat: the reader of
+    amplitudes, tensor components and operator entries. A count other than
+    ``prod(dims)`` raises :class:`LengthMismatchError`. A ``complex128``
+    array that is read-only down to its owning array is kept as a view;
+    anything else is copied once and frozen, as is a reshape that copies.
     """
-    if not (
-        isinstance(values, np.ndarray) and values.dtype == np.complex128 and _frozen(values)
-    ):
-        try:
-            values = np.asarray(values)
-            # a number dtype, or objects of number types only (np.bool_ is no Number)
-            types = set(map(type, values.flat)) if values.dtype == object else ()
-            numeric = all(issubclass(t, (numbers.Number, np.bool_)) for t in types)
-            if values.dtype.kind not in "biufcO" or not numeric:
-                raise TypeError(f"a {values.dtype} array of non-numbers")
-            values = np.array(values, dtype=np.complex128)
-        except OverflowError:  # an int beyond the float range
-            raise NonFiniteAmplitudeError("amplitudes must be finite") from None
-        except (TypeError, ValueError) as err:
-            raise NonNumericAmplitudeError("amplitudes must be numbers") from err
-        values.setflags(write=False)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and _frozen(values)):
+        values = freeze(_numbers(values, "amplitudes"))
+    if dims is None:
+        return values
     n = math.prod(dims)
     if values.size != n:
         raise LengthMismatchError(f"expected {n} amplitudes for shape {dims}, got {values.size}")

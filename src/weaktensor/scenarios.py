@@ -22,14 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidCountError,
-    MissingParamError,
-    NonFiniteAmplitudeError,
-    UnknownNameError,
-    WrongScenarioError,
+from .errors import InvalidCountError, MissingParamError, UnknownNameError, WrongScenarioError
+from .hilbert import (
+    MAX_DIMENSION, Ket, _integers, _reals, check_dims, check_labels, freeze, make_ket
 )
-from .hilbert import MAX_DIMENSION, Ket, _integers, check_dims, check_labels, freeze, make_ket
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
 
 
@@ -159,11 +155,13 @@ def hardy_gamma(gamma: float) -> Scenario:
     :func:`hardy`. The selection overlap is ``1 - e^{i*gamma}``, so the
     components diverge as gamma approaches 0 (the construction is a
     deformation of the paradox, not a limit recovery), and gamma = 0 is
-    rejected as an orthogonal selection.
+    rejected as an orthogonal selection. A ``None`` gamma is a missing one.
     """
-    if not math.isfinite(gamma):  # exp would make a NaN amplitude
-        raise NonFiniteAmplitudeError("amplitudes must be finite")
-    pre = make_ket((2, 2), [1.0, np.exp(1j * gamma), 1.0, 1.0])
+    if gamma is None:
+        raise MissingParamError("hardy-gamma requires a gamma value")
+    with np.errstate(invalid="ignore"):  # an infinite gamma: a NaN amplitude that Ket refuses
+        phase = np.exp(1j * _reals(gamma, "gamma", one=True))
+    pre = make_ket((2, 2), [1.0, phase, 1.0, 1.0])
     post = make_ket((2, 2), [1.0, -1.0, -1.0, 1.0])
     return Scenario("hardy-gamma", pre, post, (("L_p", "R_p"), ("L_e", "R_e")))
 
@@ -191,12 +189,6 @@ def custom(
     return Scenario(name, pre, post, labels)
 
 
-def _hardy_gamma_named(gamma: float | None, parties: int, levels: int) -> Scenario:
-    if gamma is None:
-        raise MissingParamError("hardy-gamma requires a gamma value")
-    return hardy_gamma(gamma)
-
-
 #: Built-in scenarios by CLI name, in listing order. Each builder takes
 #: ``(gamma, parties, levels)``: ``hardy-gamma`` requires a gamma value and
 #: ``ghz`` uses the party/level counts.
@@ -206,7 +198,7 @@ _NAMED = {
     "cheshire": lambda *_: cheshire(),
     "hardy": lambda *_: hardy(),
     "hardy-overlap": lambda *_: hardy_overlap_labels(hardy()),
-    "hardy-gamma": _hardy_gamma_named,
+    "hardy-gamma": lambda gamma, *_: hardy_gamma(gamma),
     "ghz3-selected": lambda *_: ghz3_selected(),
 }
 

@@ -69,6 +69,7 @@ class WeakValueTensor:
         components = read_only_complex(self.components, tuple(self.dims))
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "overlap", complex(read_only_complex(self.overlap, ())))
 
     @property
     def rank(self) -> int:
@@ -155,7 +156,7 @@ def weak_value_observable(pre: Ket, post: Ket, matrix) -> complex:
     projector paths.
     """
     overlap = selection_overlap(pre, post)
-    a = np.asarray(matrix, dtype=np.complex128)
+    a = read_only_complex(matrix)
     if a.shape != (pre.dim, pre.dim):
         raise ShapeMismatchError(f"operator shape {a.shape} does not match dimension {pre.dim}")
     return complex(np.vdot(post.amps, a @ pre.amps) / overlap)

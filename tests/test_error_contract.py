@@ -71,6 +71,20 @@ def test_paired_hamiltonian_needs_two_pairs():
     assert str(info.value) == "need at least the two coupled pairs"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiwise_epr_hamiltonian(1.0, 0), "need at least one pair, got 0"),
+        (lambda: multiwise_ghz_hamiltonian(1.0, -1), "need at least one cube, got -1"),
+    ],
+)
+def test_multiwise_hamiltonians_need_one_copy(call, message):
+    # an empty shape used to surface as ShapeMismatchError from check_dims
+    with pytest.raises(InvalidCountError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
 def test_non_finite_phase_angles_raise_before_exp(t):
     # the suite turns RuntimeWarning into an error, so a numpy warning

@@ -1,14 +1,16 @@
 """One copy of each rule: the CLI writes every command's output through one
 write site, the basis helpers that used to restate a rule of ``hilbert``
 give the same bits and errors through the rule itself, the input rules
-(family parameters, integers, labels, shapes) are each stated once, and the
-package's imports are its only statement of the public API."""
+(family parameters, integers, labels, shapes, numbers) are each stated once,
+and the package's imports are its only statement of the public API."""
 
 import inspect
 import itertools
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from types import ModuleType
 
 import numpy as np
@@ -17,7 +19,15 @@ import pytest
 import weaktensor
 import weaktensor.cli as cli
 from weaktensor import (
+    DiagonalHamiltonian,
     DimensionOverflowError,
+    HamiltonianTerm,
+    Ket,
+    LengthMismatchError,
+    MissingParamError,
+    NonFiniteAmplitudeError,
+    NonFiniteEnergyError,
+    NonNumericAmplitudeError,
     OutOfRangeError,
     ProjectorProduct,
     SchemaViolationError,
@@ -29,16 +39,20 @@ from weaktensor import (
     basis_labels,
     basis_state,
     basis_to_cell,
+    build_named,
     check_dims,
     cli_main,
     compare_states,
+    evolve,
     exact_counterpart,
     flat_index,
     ghz3_selected,
+    hardy_gamma,
     make_ket,
     phase_report,
     product_form,
     tensor_product,
+    weak_value_observable,
 )
 from weaktensor.dynamics import FAMILIES
 from weaktensor.schemefile import _parse_shape
@@ -244,6 +258,61 @@ def test_a_json_shape_passes_exactly_when_check_dims_passes_it(shape):
 def test_dims_and_projector_levels_are_integers_never_truncated(call):
     with pytest.raises(WeakTensorError):
         call()
+
+
+# ---------------------------------------------------------------- the number rule
+
+ZERO, PLUS = basis_state((2,), (0,)), make_ket((2,), [1, 1])
+STEP = DiagonalHamiltonian((2,), [0.0, 1.0])
+AMPLITUDE_ERRORS = {"non-number": NonNumericAmplitudeError, "huge": NonFiniteAmplitudeError}
+ENERGY_ERRORS = {"non-number": NonFiniteEnergyError, "huge": NonFiniteEnergyError}
+NAMED = {**ENERGY_ERRORS, "none": MissingParamError}  # None stands for a parameter not given
+
+#: entry point -> (what it made of a number x, a real entry?, a one-number entry?, errors)
+NUMBER_INPUTS = {
+    "Ket": (lambda x: Ket((2,), [x, 0]).amps[0], False, False, AMPLITUDE_ERRORS),
+    "make_ket": (lambda x: make_ket((2,), [x, 0]).amps[0], False, False, AMPLITUDE_ERRORS),
+    "tensor-components": (lambda x: WeakValueTensor((2,), [x, 0], "weak", 1).components[0],
+                          False, False, AMPLITUDE_ERRORS),
+    "tensor-overlap": (lambda x: WeakValueTensor((2,), [1, 0], "weak", x).overlap, False, True,
+                       {**AMPLITUDE_ERRORS, "list": LengthMismatchError}),
+    "observable": (lambda x: weak_value_observable(ZERO, ZERO, [[x, 0], [0, 0]]), False, False,
+                   AMPLITUDE_ERRORS),
+    "HamiltonianTerm": (lambda x: HamiltonianTerm(x, ProjectorProduct()).coupling, True, True,
+                        ENERGY_ERRORS),
+    "DiagonalHamiltonian": (lambda x: DiagonalHamiltonian((2,), [x, 0]).energies[0], True, False,
+                            ENERGY_ERRORS),
+    "evolve-time": (lambda x: evolve(PLUS, STEP, x).amps, True, True, ENERGY_ERRORS),
+    "product_form": (lambda x: product_form("psit1", 1.0, eps=x).amps, True, True, NAMED),
+    "exact_counterpart": (lambda x: exact_counterpart("PsiGHZ11", 1.0, phi=0.5, eps=x).amps,
+                          True, True, NAMED),
+    "hardy_gamma": (lambda x: hardy_gamma(x).pre.amps, True, True, NAMED),
+    "build_named": (lambda x: build_named("hardy-gamma", gamma=x).pre.amps, True, True, NAMED),
+}
+NUMBERS = {"fraction": Fraction(1, 2), "true": True, "float32": np.float32(2), "complex": 2 + 0j}
+NON_NUMBERS = {"decimal": Decimal("1"), "str": "1.5", "bytes": b"1", "none": None,
+               "huge": 10**400, "imaginary": 1j, "list": [1, 2]}
+
+
+def _number_cases():
+    for entry, (_, real, one, _) in NUMBER_INPUTS.items():
+        for value in [*NUMBERS, *NON_NUMBERS]:
+            if (value != "imaginary" or real) and (value != "list" or one):
+                yield pytest.param(entry, value, id=f"{entry}-{value}")
+
+
+@pytest.mark.parametrize("entry, value", _number_cases())
+def test_every_number_input_follows_one_rule(entry, value):
+    read, real, _, errors = NUMBER_INPUTS[entry]
+    if value in NUMBERS:  # accepted, with the bits of complex(x), or of its real part
+        x = NUMBERS[value]
+        reference = complex(x).real if real else complex(x)
+        assert np.asarray(read(x)).tobytes() == np.asarray(read(reference)).tobytes()
+        return
+    expected = errors.get(value, errors["non-number"])
+    with pytest.raises(WeakTensorError) as info:
+        read(NON_NUMBERS[value])
+    assert type(info.value) is expected
 
 
 # ---------------------------------------------------------------- public API
