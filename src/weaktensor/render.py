@@ -7,11 +7,13 @@ formatting), so golden-file tests are valid.
 Orientation: axis 0 is rendered as rows and axis 1 as columns; rank-3
 tensors are rendered as one rank-2 slice per level of axis 0.
 
-Text and SVG cells and ket labels are formatted in one pass per block:
-:func:`fmt_reals` formats a whole array of cells or sums (an SVG cell adds
-its imaginary part where that exceeds :data:`IMAG_WARN_TOL`, 1e-9), and
-:func:`label_strs` writes the ket label of every basis state of a shape.
-:func:`fmt_real` and :func:`label_str` give the same strings for one value.
+Text and SVG cells and ket labels are formatted by one numpy byte kernel:
+:func:`fmt_reals` and :func:`label_strs` fill a fixed-width byte row per
+string and decode all rows at once, matching the one-value :func:`fmt_real`
+and :func:`label_str`. A cell is ``x * 10**4`` rounded half-even on its exact
+binary value, as ``format(x, "+.4f")`` does; the float product rounds to the
+same integer unless it is a half-integer, which, like ``|x * 10**4| >= 2**50``
+and non-finite values, goes to :func:`fmt_real`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,36 @@ def fmt_real(value: complex) -> str:
     return f"{value.real + 0.0:+.4f}"  # +0.0 folds IEEE -0.0 into +0.0
 
 
+def _put_digits(out: np.ndarray, values: np.ndarray, keep: int = 1) -> None:
+    # digits of `values` (>= 0, broadcast to out[..., 0]); zeros left of the last `keep` are NUL
+    width = out.shape[-1]
+    for j in range(width):
+        q = values // 10 ** (width - 1 - j)
+        out[..., j] = np.where((q > 0) | (j >= width - keep), q % 10 + 48, 0)
+
+
+def _strings(rows: np.ndarray) -> list[str]:
+    # one string per byte row, each row ending in a space; NUL bytes are dropped
+    return rows.tobytes().decode("ascii").replace("\0", "").split()
+
+
 def fmt_reals(values) -> list[str]:
     """:func:`fmt_real` of every element of a scalar or array, in flat order."""
-    return list(map("{:+.4f}".format, (np.asarray(values).real + 0.0).reshape(-1).tolist()))
+    x = np.asarray(values).real.reshape(-1).astype(np.float64) + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e4
+        n = np.rint(scaled)  # format()'s rounding but where `fast` fails (module docstring)
+        fast = (abs(scaled - n) != 0.5) & (abs(n) < 2.0**50)
+    n = np.abs(np.where(fast, n, 0.0)).astype(np.int64)
+    width = len(str(n.max(initial=0) // 10**4))
+    rows = np.empty((n.size, width + 7), np.uint8)  # sign, digits, ".", 4 digits, " "
+    rows[:, 0], rows[:, width + 1], rows[:, -1] = np.where(x < 0, 45, 43), 46, 32
+    _put_digits(rows[:, 1 : width + 1], n // 10**4)
+    _put_digits(rows[:, width + 2 : -1], n % 10**4, keep=4)
+    out = _strings(rows)
+    for k in np.flatnonzero(~fast).tolist():
+        out[k] = fmt_real(x[k])
+    return out
 
 
 def _joiner(dims: Sequence[int]) -> str:
@@ -60,8 +89,20 @@ def label_str(label: Sequence[int], dims: Sequence[int]) -> str:
 def label_strs(dims: Sequence[int]) -> Iterator[str]:
     """:func:`label_str` of every basis label of ``dims``, in flat-index
     order (the labels of :func:`~weaktensor.hilbert.basis_labels`)."""
-    digits = [list(map(str, range(d))) for d in dims]
-    return map("|{}>".format, map(_joiner(dims).join, itertools.product(*digits)))
+    joiner, widths = _joiner(dims), [len(str(d - 1)) for d in dims]
+    starts = np.cumsum([1] + [w + len(joiner) for w in widths]).tolist()  # digit columns
+    # byte rows of "|", NUL-padded digit fields joined by ",", ">" for the
+    # fewest last axes with 2**12 labels (or all), below a prefix per block
+    lead = max(0, len(dims) - 1 - int(np.sum(np.cumprod(dims[::-1]) < 2**12)))
+    block = np.full((*dims[lead:], starts[-1] - len(joiner) + 2), 44, np.uint8)
+    block[..., 0], block[..., -2], block[..., -1] = 124, 62, 32
+    for axis in range(lead, len(dims)):
+        levels = np.arange(dims[axis]).reshape(-1, *[1] * (len(dims) - 1 - axis))
+        _put_digits(block[..., starts[axis] : starts[axis + 1] - len(joiner)], levels)
+    for head in itertools.product(*map(range, dims[:lead])):
+        prefix = "".join(str(level).rjust(w, "\0") + joiner for level, w in zip(head, widths))
+        block[..., 1 : starts[lead]] = np.frombuffer(prefix.encode(), np.uint8)
+        yield from _strings(block)
 
 
 def _imag_warning(t: WeakValueTensor, labels) -> list[str]:

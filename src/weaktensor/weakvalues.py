@@ -17,6 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import (
+    LengthMismatchError,
     OrthogonalSelectionError,
     ShapeMismatchError,
     SubsystemOutOfRangeError,
@@ -69,7 +70,10 @@ class WeakValueTensor:
         components = read_only_complex(self.components, tuple(self.dims))
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "overlap", complex(read_only_complex(self.overlap, ())))
+        overlap = read_only_complex(self.overlap)
+        if overlap.ndim:
+            raise LengthMismatchError(f"overlap must be one number, got shape {overlap.shape}")
+        object.__setattr__(self, "overlap", complex(overlap))
 
     @property
     def rank(self) -> int:

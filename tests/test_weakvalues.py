@@ -5,6 +5,7 @@ import pytest
 
 from weaktensor import (
     Ket,
+    LengthMismatchError,
     OrthogonalSelectionError,
     ProjectorProduct,
     ShapeMismatchError,
@@ -341,3 +342,12 @@ def test_tensor_of_a_read_only_array_that_must_be_copied_to_reshape():
     tensor = WeakValueTensor((4,), transposed, "weak", 1 + 0j)
     np.testing.assert_array_equal(tensor.components, [0, 2, 1, 3])
     assert not tensor.components.flags.writeable
+
+
+@pytest.mark.parametrize("overlap", [[0.5], [[0.5]], np.array([0.5 + 1j]), [1, 2]])
+def test_tensor_refuses_an_overlap_that_is_not_one_number(overlap):
+    # a size-1 array used to be reshaped to one number: [[0.5]] read as 0.5+0j
+    with pytest.raises(LengthMismatchError, match="overlap must be one number, got shape"):
+        WeakValueTensor((2,), [1, 0], "weak", overlap)
+    for one in (0.5, np.float64(0.5), np.array(0.5 + 0j), 0.5 + 0j):
+        assert WeakValueTensor((2,), [1, 0], "weak", one).overlap == 0.5 + 0j
