@@ -67,8 +67,8 @@ def _scenario_for(args) -> Scenario:
         if name == "hardy-gamma" and args.gamma is None:
             raise _UsageError("scenario hardy-gamma requires --gamma")
         return build_named(name, gamma=args.gamma, parties=args.parties, levels=args.levels)
-    if os.path.exists(name):
-        return read_scenario_file(name)
+    if os.path.exists(name):  # an SVG is refused by rank before the states are read
+        return read_scenario_file(name, check_svg_rank if args.format == "svg" else None)
     raise _UsageError(
         f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)} or a JSON file"
     )
@@ -100,9 +100,8 @@ def _cmd_run(args) -> bytes:
 
 
 def _cmd_tensor(args) -> bytes:
-    pre = read_ket_file(args.pre)
-    if args.format == "svg":  # refuse before the post file is read
-        check_svg_rank(len(pre.dims))
+    # an SVG is refused by rank before any amplitude is read
+    pre = read_ket_file(args.pre, check_svg_rank if args.format == "svg" else None)
     post = read_ket_file(args.post) if args.post else None
     return render_document(scheme_document(custom(pre, post)), args.format)
 

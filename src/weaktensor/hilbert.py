@@ -191,21 +191,24 @@ def _reals(values, what: str, one: bool = False):
     return float(values) if one else values
 
 
-def read_only_complex(values, dims: tuple | None = None, flat: bool = False) -> np.ndarray:
+def read_only_complex(
+    values, dims: tuple | None = None, flat: bool = False, *, what: str
+) -> np.ndarray:
     """``values`` by the number rule as a read-only ``complex128`` array
     shaped ``dims`` (as given when ``None``), or flat: the reader of
-    amplitudes, tensor components and operator entries. A count other than
-    ``prod(dims)`` raises :class:`LengthMismatchError`. A ``complex128``
-    array that is read-only down to its owning array is kept as a view;
-    anything else is copied once and frozen, as is a reshape that copies.
+    amplitudes, tensor components and operator entries, named ``what`` in
+    its errors. A count other than ``prod(dims)`` raises
+    :class:`LengthMismatchError`. A ``complex128`` array that is read-only
+    down to its owning array is kept as a view; anything else is copied
+    once and frozen, as is a reshape that copies.
     """
     if not (isinstance(values, np.ndarray) and values.dtype == np.complex128 and _frozen(values)):
-        values = freeze(_numbers(values, "amplitudes"))
+        values = freeze(_numbers(values, what))
     if dims is None:
         return values
     n = math.prod(dims)
     if values.size != n:
-        raise LengthMismatchError(f"expected {n} amplitudes for shape {dims}, got {values.size}")
+        raise LengthMismatchError(f"expected {n} {what} for shape {dims}, got {values.size}")
     return freeze(values.reshape(-1 if flat else dims))  # a copying reshape owns new memory
 
 
@@ -225,7 +228,7 @@ class Ket:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        amps = read_only_complex(self.amps, dims, flat=True)
+        amps = read_only_complex(self.amps, dims, flat=True, what="amplitudes")
         if not np.isfinite(amps).all():
             raise NonFiniteAmplitudeError("amplitudes must be finite")
         object.__setattr__(self, "dims", dims)

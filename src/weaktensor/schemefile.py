@@ -60,7 +60,9 @@ class SchemeDocument:
     def to_tensor(self) -> WeakValueTensor:
         """The tensor, with this document's marginals as its cached ones."""
         tensor = WeakValueTensor(self.dims, self.components, self.kind, self.overlap)
-        marginals = tuple(read_only_complex(m, (d,)) for m, d in zip(self.marginals, self.dims))
+        marginals = tuple(
+            read_only_complex(m, (d,), what="marginals") for m, d in zip(self.marginals, self.dims)
+        )
         object.__setattr__(tensor, "marginals", marginals)  # fills the cached_property
         return tensor
 
@@ -241,10 +243,13 @@ def _parse_shape(raw: object) -> tuple[int, ...]:
     raise SchemaViolationError("shape", message)
 
 
-def parse_scenario(text: str, name: str = "custom") -> Scenario:
-    """Parse scenario JSON text into a Scenario."""
+def parse_scenario(text: str, name: str = "custom", check_rank=None) -> Scenario:
+    """Parse scenario JSON text into a Scenario; ``check_rank``, if given,
+    is called with the rank as soon as the shape is read, before any state."""
     data = _load_object(text)
     dims = _parse_shape(_require_field(data, "shape"))
+    if check_rank is not None:
+        check_rank(len(dims))
     d_total = math.prod(dims)
 
     def state(field: str) -> Ket:
@@ -274,10 +279,11 @@ def parse_scenario(text: str, name: str = "custom") -> Scenario:
     return custom(pre, post, labels, name=name)
 
 
-def read_scenario_file(path: str | os.PathLike) -> Scenario:
-    """Read a scenario JSON file; the scenario is named after the file stem."""
+def read_scenario_file(path: str | os.PathLike, check_rank=None) -> Scenario:
+    """Read a scenario JSON file; the scenario is named after the file stem.
+    ``check_rank`` is as for :func:`parse_scenario`."""
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return parse_scenario(_read_text(path), name=stem)
+    return parse_scenario(_read_text(path), stem, check_rank)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -298,9 +304,12 @@ def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:
         handle.write(scenario_to_json(scenario))
 
 
-def read_ket_file(path: str | os.PathLike) -> Ket:
-    """Read a single-state JSON file: ``{"shape": [...], "amps": [[re, im], ...]}``."""
+def read_ket_file(path: str | os.PathLike, check_rank=None) -> Ket:
+    """Read a single-state JSON file: ``{"shape": [...], "amps": [[re, im], ...]}``.
+    ``check_rank`` is as for :func:`parse_scenario`."""
     data = _load_object(_read_text(path))
     dims = _parse_shape(_require_field(data, "shape"))
+    if check_rank is not None:
+        check_rank(len(dims))
     amps = _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims))
     return Ket(dims, amps)

@@ -67,10 +67,10 @@ class WeakValueTensor:
     overlap: complex
 
     def __post_init__(self):
-        components = read_only_complex(self.components, tuple(self.dims))
+        components = read_only_complex(self.components, tuple(self.dims), what="components")
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "components", components)
-        overlap = read_only_complex(self.overlap)
+        overlap = read_only_complex(self.overlap, what="overlap")
         if overlap.ndim:
             raise LengthMismatchError(f"overlap must be one number, got shape {overlap.shape}")
         object.__setattr__(self, "overlap", complex(overlap))
@@ -160,7 +160,7 @@ def weak_value_observable(pre: Ket, post: Ket, matrix) -> complex:
     projector paths.
     """
     overlap = selection_overlap(pre, post)
-    a = read_only_complex(matrix)
+    a = read_only_complex(matrix, what="operator entries")
     if a.shape != (pre.dim, pre.dim):
         raise ShapeMismatchError(f"operator shape {a.shape} does not match dimension {pre.dim}")
     return complex(np.vdot(post.amps, a @ pre.amps) / overlap)

@@ -106,6 +106,26 @@ def test_run_scenario_from_file(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        (("run",), {"shape": [2, 2, 2, 2], "pre": {"amps": "not a list"}}, "pre.amps"),
+        (("tensor", "--pre"), {"shape": [2, 2, 2, 2], "amps": "not a list"}, "amps"),
+    ],
+    ids=["run", "tensor"],
+)
+def test_svg_refuses_the_rank_before_reading_the_states(capsys, tmp_path, command, document,
+                                                         field):
+    # the amplitudes are malformed, so reading them would raise SchemaViolationError
+    path = tmp_path / "rank4.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *command, str(path), "--format", "svg")
+    assert (code, out) == (1, "")
+    assert err == "UnsupportedRankError: SVG rendering supports ranks 2 and 3, got rank 4\n"
+    code, _, err = run_cli(capsys, *command, str(path), "--format", "text")
+    assert code == 1 and err.startswith(f"SchemaViolationError: {field}: ")
+
+
 def test_run_ghz_with_counts(capsys):
     code, out, _ = run_cli(capsys, "run", "ghz", "--parties", "2", "--levels", "3", "--format", "json")
     assert code == 0

@@ -1,0 +1,102 @@
+"""The program entry: ``import weaktensor`` loads no numpy and leaves the
+environment alone, while ``python -m weaktensor`` runs numpy's BLAS on one
+thread unless the caller sets ``OPENBLAS_NUM_THREADS``."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import weaktensor
+
+#: the public API, as the package stated it when it imported every submodule
+PUBLIC_NAMES = """
+    ComparisonReport DiagonalHamiltonian DimensionOverflowError DuplicateSubsystemError
+    HamiltonianTerm InvalidCountError Ket LabelMismatchError LengthMismatchError
+    LevelOutOfRangeError MAX_DIMENSION MissingParamError NonFiniteAmplitudeError
+    NonFiniteEnergyError NonNumericAmplitudeError NonQubitShapeError NonUniformShapeError
+    NotThreeAxesError NotTwoAxesError ORTHO_TOL OrthogonalSelectionError OutOfRangeError
+    PRODUCT_FAMILIES ParseError PhaseReport ProjectorProduct SCENARIO_NAMES Scenario
+    SchemaViolationError SchemeDocument ShapeMismatchError SubsystemOutOfRangeError
+    UnknownFamilyError UnknownNameError UnsupportedRankError WeakTensorError WeakValueTensor
+    WrongScenarioError ZeroVectorError apply_pauli_string apply_projector_product
+    basis_label basis_labels basis_state basis_to_cell bell build_hamiltonian build_named
+    cell_to_basis check_dims cheshire cli_main compare_states custom diagonal_cells
+    document_to_json epr_pair evolve exact_counterpart expectation_tensor flat_index ghz
+    ghz3_selected ghz_ket hardy hardy_gamma hardy_overlap_labels inner is_diagonal_supported
+    make_ket marginalize multiwise_epr_hamiltonian multiwise_ghz_hamiltonian norm normalize
+    paired_epr_hamiltonian parse_scenario phase_report product_form read_ket_file
+    read_scenario_file render_cube render_document render_grid render_svg scenario_to_json
+    scheme_document selection_overlap stabilizer_eigenvalue tensor_product total_dim
+    total_sum weak_tensor weak_value weak_value_observable write_scenario_file write_scheme
+""".split()
+
+#: prints the CLI process's thread count and BLAS setting as it exits
+THREAD_PROBE = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print(len(os.listdir("/proc/self/task")),
+                              os.environ.get("OPENBLAS_NUM_THREADS")))
+sys.argv = ["weaktensor", "scenario", "list"]
+runpy.run_module("weaktensor", run_name="__main__")
+"""
+
+
+def _python(argv, **env):
+    """Run a fresh interpreter on this checkout's package; ``None`` unsets a
+    variable, and nothing else of the environment changes."""
+    src = os.path.dirname(os.path.dirname(weaktensor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    full = {**os.environ, "PYTHONPATH": path}
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    done = subprocess.run([sys.executable, *argv], env=full, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b""), done.stderr
+    return done.stdout
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def test_importing_the_package_loads_no_numpy_and_keeps_every_name():
+    code = ("import json, os, sys; env = dict(os.environ); import weaktensor; "
+            "print(json.dumps(['numpy' in sys.modules, weaktensor.__all__, dir(weaktensor), "
+            "'numpy' in sys.modules, env == dict(os.environ)]))")
+    loaded, names, listed, loaded_after_dir, env_kept = json.loads(_python(["-c", code]))
+    assert not loaded and not loaded_after_dir and env_kept
+    assert names == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(listed)
+
+
+def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # from 2**14 on, OpenBLAS sums vdot and norm in an order set by its thread count
+    rng = np.random.default_rng(14)
+    pre = rng.normal(size=(2**14, 2))
+    states = {"pre": pre, "post": pre + rng.normal(size=pre.shape)}
+    argv = ["-m", "weaktensor", "tensor", "--format", "json"]
+    for name, amps in states.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"shape": [2] * 14, "amps": amps.tolist()}))
+        argv += [f"--{name}", str(path)]
+    assert _python(argv, OPENBLAS_NUM_THREADS=None) == _python(argv, OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")
+def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_a_count():
+    def probe(value):
+        threads, setting = _python(["-c", THREAD_PROBE], OPENBLAS_NUM_THREADS=value).split()[-2:]
+        return int(threads), setting.decode()
+
+    default, kept = probe(None), probe("2")
+    assert (default[1], kept[1]) == ("1", "2")
+    if _numpy_uses_openblas():
+        assert default[0] == 1
+        if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
+            assert kept[0] == 2

@@ -2,7 +2,7 @@
 write site, the basis helpers that used to restate a rule of ``hilbert``
 give the same bits and errors through the rule itself, the input rules
 (family parameters, integers, labels, shapes, numbers) are each stated once,
-and the package's imports are its only statement of the public API."""
+and the package's export table is its only statement of the public API."""
 
 import inspect
 import itertools
@@ -31,6 +31,7 @@ from weaktensor import (
     OutOfRangeError,
     ProjectorProduct,
     SchemaViolationError,
+    SchemeDocument,
     ShapeMismatchError,
     UnknownNameError,
     WeakTensorError,
@@ -313,6 +314,32 @@ def test_every_number_input_follows_one_rule(entry, value):
     with pytest.raises(WeakTensorError) as info:
         read(NON_NUMBERS[value])
     assert type(info.value) is expected
+
+
+def _document_marginal(x):
+    doc = SchemeDocument("s", (2,), (("0", "1"),), "weak", 1, np.array([1, 0j]), ([x, 0],), 1)
+    return doc.to_tensor().marginals[0]
+
+
+#: entry point -> the input its number errors name
+NUMBER_NAMES = {
+    "Ket": "amplitudes", "make_ket": "amplitudes", "tensor-components": "components",
+    "tensor-overlap": "overlap", "observable": "operator entries",
+    "HamiltonianTerm": "coupling", "DiagonalHamiltonian": "energies", "evolve-time": "time",
+    "product_form": "eps", "exact_counterpart": "eps", "hardy_gamma": "gamma",
+    "build_named": "gamma", "document-marginals": "marginals",
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_NAMES)
+def test_number_errors_name_the_input(entry):
+    read, real = NUMBER_INPUTS.get(entry, (_document_marginal, False))[:2]
+    what = NUMBER_NAMES[entry]
+    for value, message in (("1.5", f"{what} must be {'real' if real else 'numbers'}"),
+                           (10**400, f"{what} must be finite")):
+        with pytest.raises(WeakTensorError) as info:
+            read(value)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- public API
