@@ -21,6 +21,8 @@ doubles.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -92,14 +94,16 @@ def _pair_list(values: np.ndarray, depth: int) -> str:
     outer = "  " * depth
     inner = outer + "  "
     number = inner + "  "
-    pair = f"{inner}[\n{number}{{}},\n{number}{{}}\n{inner}]"
-    reprs = iter(map(float.__repr__, floats.tolist()))
-    body = ",\n".join(map(pair.format, reprs, reprs))
+    parts = [f"\n{inner}],\n{inner}[\n{number}", None, f",\n{number}", None] * (floats.size // 2)
+    parts[0] = f"[\n{inner}[\n{number}"
+    parts[1::2] = map(float.__repr__, floats.tolist())  # each between two separators
+    parts.append(f"\n{inner}]\n{outer}]")
+    text = "".join(parts)
     if not np.isfinite(floats).all():
         # repr writes nan / inf where json writes NaN / Infinity; a finite
         # float's repr holds only digits, ".", "e", "+" and "-"
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{body}\n{outer}]"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def document_to_json(doc: SchemeDocument) -> str:
@@ -233,6 +237,18 @@ def _load_object(text: str) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, then leave it as found: a JSON tree has no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _parse_shape(raw: object) -> tuple[int, ...]:
     try:  # of JSON values only a list of integers >= 2 passes: true and false are 1 and 0
         return check_dims(raw)
@@ -243,6 +259,7 @@ def _parse_shape(raw: object) -> tuple[int, ...]:
     raise SchemaViolationError("shape", message)
 
 
+@_collector_paused()  # until the decoded tree is freed, on return
 def parse_scenario(text: str, name: str = "custom", check_rank=None) -> Scenario:
     """Parse scenario JSON text into a Scenario; ``check_rank``, if given,
     is called with the rank as soon as the shape is read, before any state."""
@@ -250,16 +267,14 @@ def parse_scenario(text: str, name: str = "custom", check_rank=None) -> Scenario
     dims = _parse_shape(_require_field(data, "shape"))
     if check_rank is not None:
         check_rank(len(dims))
-    d_total = math.prod(dims)
 
     def state(field: str) -> Ket:
-        obj = data[field]
+        obj = _require_field(data, field)
         if not isinstance(obj, dict):
             raise SchemaViolationError(field, "expected an object with an 'amps' field")
         raw = _require_field(obj, "amps", field)
-        return Ket(dims, _parse_amps(raw, f"{field}.amps", d_total))
+        return Ket(dims, _parse_amps(raw, f"{field}.amps", math.prod(dims)))
 
-    _require_field(data, "pre")
     pre = state("pre")
     post = state("post") if "post" in data else None
 
@@ -304,6 +319,7 @@ def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:
         handle.write(scenario_to_json(scenario))
 
 
+@_collector_paused()  # until the decoded tree is freed, on return
 def read_ket_file(path: str | os.PathLike, check_rank=None) -> Ket:
     """Read a single-state JSON file: ``{"shape": [...], "amps": [[re, im], ...]}``.
     ``check_rank`` is as for :func:`parse_scenario`."""
@@ -311,5 +327,4 @@ def read_ket_file(path: str | os.PathLike, check_rank=None) -> Ket:
     dims = _parse_shape(_require_field(data, "shape"))
     if check_rank is not None:
         check_rank(len(dims))
-    amps = _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims))
-    return Ket(dims, amps)
+    return Ket(dims, _parse_amps(_require_field(data, "amps"), "amps", math.prod(dims)))

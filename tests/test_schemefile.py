@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -22,6 +23,8 @@ from weaktensor import (
     write_scenario_file,
     write_scheme,
 )
+from weaktensor.errors import UnsupportedRankError
+from weaktensor.render import check_svg_rank
 
 HARDY_JSON = """
 {
@@ -199,3 +202,86 @@ def test_scenario_json_text_shape():
     payload = json.loads(text)
     assert list(payload) == ["shape", "pre", "post", "labels"]
     assert payload["pre"]["amps"][0] == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------- the collector during a read
+
+
+def _seeded_amps(n_qubits: int, stream: int) -> list[list[float]]:
+    rng = np.random.default_rng([23, stream])
+    return rng.standard_normal((2**n_qubits, 2)).tolist()
+
+
+def _collections_during(read, *args) -> list[int]:
+    """The generation of every cyclic collection run by ``read(*args)``,
+    called with the collector enabled."""
+    runs = []
+
+    def hook(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()  # so that no collection is already due when the read starts
+    gc.callbacks.append(hook)
+    try:
+        read(*args)
+    finally:
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+    return runs
+
+
+def test_read_ket_file_runs_no_collection(tmp_path):
+    paths = []
+    for stream, side in enumerate(("pre", "post")):
+        path = tmp_path / f"{side}.json"
+        ket = {"shape": [2] * 12, "amps": _seeded_amps(12, stream)}
+        path.write_text(json.dumps(ket), encoding="utf-8")
+        paths.append(path)
+    assert _collections_during(lambda: [read_ket_file(p) for p in paths]) == []
+
+
+def test_read_scenario_file_runs_no_collection(tmp_path):
+    path = tmp_path / "q12.json"
+    doc = {"shape": [2] * 12, "pre": {"amps": _seeded_amps(12, 0)}}
+    doc["post"] = {"amps": _seeded_amps(12, 1)}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _collections_during(read_scenario_file, path) == []
+
+
+_READ_CASES = {  # the ket document's bytes, the error expected of both readers
+    "success": (b'{"shape": [2], "amps": [[1, 0], [0, 0]]}', None),
+    "malformed-json": (b'{"shape": [2], "amps": [[1, 0],', ParseError),
+    "invalid-utf8": (b'{"shape": [2], "amps": [[1, 0], [0, 0]], "note": "\xff"}', ParseError),
+    "bad-amps-entry": (b'{"shape": [2], "amps": [[1, 0], [true, 0]]}', SchemaViolationError),
+    "rank-refused": (b'{"shape": [2], "amps": [[1, 0], [0, 0]]}', UnsupportedRankError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", list(_READ_CASES))
+@pytest.mark.parametrize("reader", ["ket", "scenario"])
+def test_a_read_leaves_the_collector_as_it_was(reader, case, enabled, tmp_path):
+    ket, error = _READ_CASES[case]
+    path = tmp_path / "in.json"
+    if reader == "ket":
+        path.write_bytes(ket)
+        read = read_ket_file
+    else:  # the same shape and amplitudes as the scenario's pre state
+        path.write_bytes(ket.replace(b'"amps": ', b'"pre": {"amps": ').replace(b"]]", b"]]}"))
+        read = read_scenario_file
+    check_rank = check_svg_rank if case == "rank-refused" else None
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            read(path, check_rank)
+        else:
+            with pytest.raises(error):
+                read(path, check_rank)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
