@@ -33,7 +33,7 @@ from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report,
 from .errors import WeakTensorError
 from .hilbert import basis_labels
 from .realization import diagonal_cells
-from .render import check_svg_rank, label_str, label_strs
+from .render import check_svg_rank, label_strs
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
 from .schemefile import read_ket_file, read_scenario_file, render_document, scheme_document
 
@@ -107,30 +107,30 @@ def _cmd_tensor(args) -> bytes:
 
 
 def _cmd_evolve(args) -> bytes:
-    family = args.family
-    form_family = "psit1" if family == "exact" else family
-    params = {p: getattr(args, p) for p in FAMILIES[form_family].params}
+    exact = args.family == "exact"
+    name = "psit1" if exact else args.family
+    params = {p: getattr(args, p) for p in FAMILIES[name].params}
     for param, value in params.items():
         if value is None:
-            raise _UsageError(f"family {family} requires --{param}")
+            raise _UsageError(f"family {args.family} requires --{param}")
 
-    builders = (exact_counterpart, product_form)  # compared in this (exact, form) order
-    build, other = builders if family == "exact" else builders[::-1]
-    state = build(form_family, args.time, **params)
-    reference = build(form_family, 0.0, **params)
+    route, other = (exact_counterpart, product_form) if exact else (product_form, exact_counterpart)
+    state = route(name, args.time, **params)
+    reference = route(name, 0.0, **params)
 
-    lines = [f"family: {family}", f"time: {args.time:g}", "amplitudes:"]
+    lines = [f"family: {args.family}", f"time: {args.time:g}", "amplitudes:"]
     shown = np.abs(state.amps) > 1e-12
     labels = itertools.compress(label_strs(state.dims), shown)
     # + 0.0 folds IEEE -0.0 into +0.0
     reals, imags = ((part[shown] + 0.0).tolist() for part in (state.amps.real, state.amps.imag))
     lines.extend(map("  {}  {:+.6f}{:+.6f}i".format, labels, reals, imags))
     lines.append("relative phases vs t=0:")
-    for label, phase in phase_report(state, reference).items():
-        lines.append(f"  {label_str(label, state.dims)}  {phase:+.6f}")
+    phases = phase_report(state, reference)
+    labels = itertools.compress(label_strs(state.dims), phases.keep)
+    lines.extend(map("  {}  {:+.6f}".format, labels, phases.values()))
     if args.compare:  # state is already one side of the (exact, form) pair
-        sides = {build: state, other: other(form_family, args.time, **params)}
-        report = compare_states(*map(sides.get, builders))
+        pair = (state, other(name, args.time, **params))
+        report = compare_states(*pair if exact else pair[::-1])
         lines += ["exact vs product form:", f"  fidelity: {report.fidelity:.6f}",
                   f"  max component diff: {report.max_component_diff:.6f}"]
     return _lines(lines)
@@ -224,11 +224,3 @@ def cli_main(argv=None) -> int:
     except (WeakTensorError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> None:
-    sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -106,6 +106,16 @@ def test_run_scenario_from_file(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("field", ["pre", "post"])
+def test_run_refuses_a_state_that_is_not_an_object(capsys, tmp_path, field):
+    document = {"shape": [2], "pre": {"amps": [[1, 0], [0, 0]]}, field: [[1, 0]]}
+    path = tmp_path / "bare-state.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"SchemaViolationError: {field}: expected an object with an 'amps' field\n"
+
+
 @pytest.mark.parametrize(
     "command, document, field",
     [

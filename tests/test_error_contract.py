@@ -8,16 +8,19 @@ import pytest
 
 import weaktensor
 from weaktensor import (
+    DiagonalHamiltonian,
     InvalidCountError,
     Ket,
     NonFiniteAmplitudeError,
     NonNumericAmplitudeError,
     OutOfRangeError,
+    ShapeMismatchError,
     SubsystemOutOfRangeError,
     UnknownNameError,
     WeakTensorError,
     WeakValueTensor,
     apply_pauli_string,
+    basis_state,
     bell,
     build_named,
     cell_to_basis,
@@ -32,6 +35,7 @@ from weaktensor import (
     multiwise_epr_hamiltonian,
     multiwise_ghz_hamiltonian,
     paired_epr_hamiltonian,
+    phase_report,
     product_form,
     render_document,
     scheme_document,
@@ -81,6 +85,23 @@ def test_paired_hamiltonian_needs_two_pairs():
 def test_multiwise_hamiltonians_need_one_copy(call, message):
     # an empty shape used to surface as ShapeMismatchError from check_dims
     with pytest.raises(InvalidCountError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DiagonalHamiltonian((2, 2), [0.0] * 3), ShapeMismatchError,
+         "expected 4 energies for shape (2, 2), got 3"),
+        (lambda: phase_report(epr_pair(), basis_state((2, 2, 2), (0, 0, 0))), ShapeMismatchError,
+         "shapes differ: (2, 2) vs (2, 2, 2)"),
+        (lambda: cell_to_basis(0, 2, 0), OutOfRangeError, "axes must be >= 1, got 0"),
+    ],
+    ids=["energies", "phase-report", "no-axes"],
+)
+def test_a_size_refusal_states_what_it_expected(call, error, message):
+    with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
 

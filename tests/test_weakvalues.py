@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaktensor import (
     Ket,
@@ -30,6 +32,10 @@ from oracles import (
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
+EPS = np.finfo(np.float64).eps
+
+#: random mixed shapes: levels 2-5, ranks 1-5, so at most 5**5 = 3125 components
+SHAPES = st.lists(st.integers(2, 5), min_size=1, max_size=5).map(tuple)
 
 
 def cheshire_pair():
@@ -242,6 +248,48 @@ def test_completeness_over_random_pairs():
             pre_amps, post_amps = random_selected_pair(rng, dims)
             t = weak_tensor(Ket(dims, pre_amps), Ket(dims, post_amps))
             assert abs(total_sum(t) - 1.0) < 1e-10
+
+
+# ------------------------------------------------------- symmetries, random shapes
+# Each side is rounded on its own, so the two agree within 4 eps times the
+# magnitude sum, the bound of the marginals' oracle, not bit for bit.
+
+
+def _bounds(pre, post, t):
+    """4 eps times the magnitude sum of the components, and of the overlap's terms."""
+    terms = np.sum(np.abs(np.conj(post) * pre))
+    return 4 * EPS * np.sum(np.abs(t.components)), 4 * EPS * terms
+
+
+@settings(max_examples=60)
+@given(SHAPES, st.integers(0, 2**32 - 1))
+def test_swapping_pre_and_post_conjugates_the_tensor_and_the_overlap(dims, seed):
+    pre, post = random_selected_pair(np.random.default_rng(seed), dims)
+    t = weak_tensor(Ket(dims, pre), Ket(dims, post))
+    swapped = weak_tensor(Ket(dims, post), Ket(dims, pre))
+    bound, overlap_bound = _bounds(pre, post, t)
+    assert np.max(np.abs(swapped.components - np.conj(t.components))) <= bound
+    assert abs(swapped.overlap - np.conj(t.overlap)) <= overlap_bound
+
+
+@settings(max_examples=60)
+@given(SHAPES, st.integers(0, 2**32 - 1))
+def test_permuting_the_axes_transposes_the_tensor_and_permutes_the_marginals(dims, seed):
+    rng = np.random.default_rng(seed)
+    pre, post = random_selected_pair(rng, dims)
+    order = rng.permutation(len(dims)).tolist()
+    moved = tuple(dims[axis] for axis in order)
+
+    def permuted(flat):
+        return flat.reshape(dims).transpose(order).reshape(-1)
+
+    t = weak_tensor(Ket(dims, pre), Ket(dims, post))
+    tp = weak_tensor(Ket(moved, permuted(pre)), Ket(moved, permuted(post)))
+    bound, overlap_bound = _bounds(pre, post, t)
+    assert np.max(np.abs(tp.components - t.components.transpose(order))) <= bound
+    for axis, source in enumerate(order):
+        assert np.max(np.abs(tp.marginals[axis] - t.marginals[source])) <= bound
+    assert abs(tp.overlap - t.overlap) <= overlap_bound
 
 
 # ---------------------------------------------------------------- dense oracle
