@@ -29,7 +29,9 @@ import sys
 
 import numpy as np
 
-from .dynamics import FAMILIES, compare_states, exact_counterpart, phase_report, product_form
+from .dynamics import (
+    FAMILIES, PHASE_AMP_TOL, compare_states, exact_counterpart, phase_report, product_form
+)
 from .errors import WeakTensorError
 from .hilbert import basis_labels
 from .realization import diagonal_cells
@@ -119,7 +121,7 @@ def _cmd_evolve(args) -> bytes:
     reference = route(name, 0.0, **params)
 
     lines = [f"family: {args.family}", f"time: {args.time:g}", "amplitudes:"]
-    shown = np.abs(state.amps) > 1e-12
+    shown = np.abs(state.amps) > PHASE_AMP_TOL
     labels = itertools.compress(label_strs(state.dims), shown)
     # + 0.0 folds IEEE -0.0 into +0.0
     reals, imags = ((part[shown] + 0.0).tolist() for part in (state.amps.real, state.amps.imag))

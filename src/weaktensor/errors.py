@@ -23,8 +23,8 @@ class NonNumericAmplitudeError(WeakTensorError, ValueError):
 
 
 class NonFiniteEnergyError(WeakTensorError, ValueError):
-    """A coupling, energy, evolution time, family parameter or gamma is not a real number
-    (imaginary part exactly 0), or a coupling or energy is not finite."""
+    """A coupling, energy, evolution time, family parameter or gamma is not a finite real
+    number (imaginary part exactly 0)."""
 
 
 class DimensionOverflowError(WeakTensorError):

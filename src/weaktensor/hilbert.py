@@ -184,10 +184,12 @@ def _numbers(values, what: str, real: bool = False) -> np.ndarray:
 def _reals(values, what: str, one: bool = False):
     """``values`` by the number rule as a new ``float64`` array, or as one
     ``float`` when ``one``: the reader of couplings, energies, times, family
-    parameters and gamma. It checks the type, not finiteness."""
+    parameters and gamma. NaN or infinity raises ``{what} must be finite``."""
     values = _numbers(values, what, real=True)
     if one and values.ndim:
         raise NonFiniteEnergyError(f"{what} must be one number, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise NonFiniteEnergyError(f"{what} must be finite")
     return float(values) if one else values
 
 

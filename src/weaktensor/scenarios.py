@@ -159,8 +159,7 @@ def hardy_gamma(gamma: float) -> Scenario:
     """
     if gamma is None:
         raise MissingParamError("hardy-gamma requires a gamma value")
-    with np.errstate(invalid="ignore"):  # an infinite gamma: a NaN amplitude that Ket refuses
-        phase = np.exp(1j * _reals(gamma, "gamma", one=True))
+    phase = np.exp(1j * _reals(gamma, "gamma", one=True))
     pre = make_ket((2, 2), [1.0, phase, 1.0, 1.0])
     post = make_ket((2, 2), [1.0, -1.0, -1.0, 1.0])
     return Scenario("hardy-gamma", pre, post, (("L_p", "R_p"), ("L_e", "R_e")))

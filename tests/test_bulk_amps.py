@@ -3,6 +3,7 @@ finiteness check give the bits and the errors of the per-entry loop in
 ``oracles.parse_amps_loop``; and the checks around them (the shape's
 ceiling, the SVG rank, ``--help``) answer before any large work is done."""
 
+import io
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import weaktensor
 import weaktensor.schemefile as schemefile
 from weaktensor import Ket, SchemaViolationError, cli_main, read_ket_file
+from weaktensor.cli import build_parser
 from weaktensor.schemefile import _parse_amps, _parse_shape
 
 from oracles import parse_amps_loop
@@ -180,6 +182,12 @@ def test_help_is_written_as_utf8_whatever_the_stdout_encoding(command, capsys, m
     assert cli_main([*command, "--help"]) == 0
     expected = capsys.readouterr().out.encode("utf-8")
     assert expected.startswith(b"usage: weaktensor")
+    parser = build_parser()
+    for name in command:  # the subcommand's own parser
+        parser = parser._subparsers._group_actions[0].choices[name]
+    buffer = io.StringIO()  # a file given to print_help gets the help, stdout nothing
+    parser.print_help(buffer)
+    assert (buffer.getvalue().encode("utf-8"), capsys.readouterr().out) == (expected, "")
     src = os.path.dirname(os.path.dirname(weaktensor.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-16", "COLUMNS": "80"}

@@ -275,7 +275,7 @@ def test_evolve_exact_nan_coupling_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "evolve", "--family", "exact", "--eps", "nan", "--time", "1")
     assert code == 1
     assert out == ""
-    assert err == "NonFiniteEnergyError: coupling must be finite, got nan\n"
+    assert err == "NonFiniteEnergyError: eps must be finite\n"
 
 
 def test_non_utf8_files_are_parse_errors(capsys, tmp_path):
@@ -347,16 +347,21 @@ def test_evolve_compare_reuses_the_listed_state(capsys, monkeypatch):
 
 
 def test_non_finite_phase_angles_are_domain_errors(capsys):
-    for argv in (
-        ("evolve", "--family", "psit1", "--eps", "1", "--time", "inf"),
-        ("evolve", "--family", "exact", "--eps", "1", "--time", "inf"),
-        ("evolve", "--family", "exact", "--eps", "1e308", "--time", "1e10"),
-        ("run", "hardy-gamma", "--gamma", "inf"),
+    # a non-finite input is refused by name; a finite angle that overflows
+    # makes a NaN amplitude
+    for argv, want in (
+        (("evolve", "--family", "psit1", "--eps", "1", "--time", "inf"),
+         "NonFiniteEnergyError: time must be finite"),
+        (("evolve", "--family", "exact", "--eps", "1", "--time", "inf"),
+         "NonFiniteEnergyError: time must be finite"),
+        (("evolve", "--family", "exact", "--eps", "1e308", "--time", "1e10"),
+         "NonFiniteAmplitudeError: amplitudes must be finite"),
+        (("run", "hardy-gamma", "--gamma", "inf"), "NonFiniteEnergyError: gamma must be finite"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == ""
-        assert err == "NonFiniteAmplitudeError: amplitudes must be finite\n"
+        assert err == want + "\n"
 
 
 def test_tensor_of_amplitudes_whose_squares_overflow(capsys, tmp_path):

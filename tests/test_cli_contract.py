@@ -85,7 +85,7 @@ def test_negative_exponent_values_read_as_numbers(spaced, joined):
 
 def test_negative_infinity_is_a_value_and_a_dash_word_an_option():
     code, out, err = call(["evolve", "--family", "psit1", "--eps", "1", "--time", "-inf"])
-    assert (code, out, err) == (1, b"", "NonFiniteAmplitudeError: amplitudes must be finite\n")
+    assert (code, out, err) == (1, b"", "NonFiniteEnergyError: time must be finite\n")
     code, _, err = call(["evolve", "--family", "psit1", "--eps", "1", "--time", "-x"])
     assert code == 2
     assert "argument --time: expected one argument" in err

@@ -376,7 +376,7 @@ def test_phase_report_range():
 
 
 def test_time_must_be_one_real_number():
-    from weaktensor import NonFiniteAmplitudeError, NonFiniteEnergyError
+    from weaktensor import NonFiniteEnergyError
 
     h = multiwise_epr_hamiltonian(1.0, 1)
     # not one real number: a complex value, a string, None, an array
@@ -386,9 +386,9 @@ def test_time_must_be_one_real_number():
     for route in (product_form, exact_counterpart):
         with pytest.raises(NonFiniteEnergyError):
             route("psit1", 3j, eps=1.0)
-    # a real but non-finite time still makes a non-finite angle
+    # a real but non-finite time is refused before any angle is formed
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(NonFiniteAmplitudeError, match="amplitudes must be finite"):
+        with pytest.raises(NonFiniteEnergyError, match="^time must be finite$"):
             evolve(epr_pair(), h, bad)
     want = evolve(epr_pair(), h, 2.0).amps.tobytes()
     for good in (2, np.int64(2), np.float32(2.0), Fraction(2), 2 + 0j, np.array(2.0)):

@@ -12,6 +12,7 @@ from weaktensor import (
     InvalidCountError,
     Ket,
     NonFiniteAmplitudeError,
+    NonFiniteEnergyError,
     NonNumericAmplitudeError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -106,20 +107,30 @@ def test_a_size_refusal_states_what_it_expected(call, error, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_non_finite_phase_angles_raise_before_exp(t):
     # the suite turns RuntimeWarning into an error, so a numpy warning
     # before the domain error would fail here
-    with pytest.raises(NonFiniteAmplitudeError):
+    with pytest.raises(NonFiniteEnergyError, match="^time must be finite$"):
         product_form("GHZ2", t, phi=1e10)
     state = tensor_product(epr_pair(), epr_pair())
-    with pytest.raises(NonFiniteAmplitudeError):
+    with pytest.raises(NonFiniteEnergyError, match="^time must be finite$"):
         evolve(state, multiwise_epr_hamiltonian(1e10), t)
 
 
-@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+def test_an_overflowing_phase_angle_is_a_non_finite_amplitude():
+    # a finite time whose angle E * t overflows: the NaN amplitude is
+    # refused by Ket, with no numpy warning on the way
+    with pytest.raises(NonFiniteAmplitudeError, match="^amplitudes must be finite$"):
+        product_form("GHZ2", 1e308, phi=1e10)
+    state = tensor_product(epr_pair(), epr_pair())
+    with pytest.raises(NonFiniteAmplitudeError, match="^amplitudes must be finite$"):
+        evolve(state, multiwise_epr_hamiltonian(1e10), 1e308)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 10**400])
 def test_non_finite_gamma_raises_before_exp(gamma):
-    with pytest.raises(NonFiniteAmplitudeError):
+    with pytest.raises(NonFiniteEnergyError, match="^gamma must be finite$"):
         hardy_gamma(gamma)
 
 

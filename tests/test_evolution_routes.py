@@ -139,7 +139,7 @@ def test_non_finite_product_form_parameter_is_a_non_finite_energy(family, param,
     assert cli_main(["evolve", "--family", family, param, value, "--time", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"NonFiniteEnergyError: coupling must be finite, got {value}\n"
+    assert captured.err == f"NonFiniteEnergyError: {param[2:]} must be finite\n"
 
 
 def test_non_finite_rates_raise_the_coupling_error():
@@ -147,4 +147,4 @@ def test_non_finite_rates_raise_the_coupling_error():
         product_form("psit1", 1.0, eps=float("nan"))
     with pytest.raises(NonFiniteEnergyError) as info:  # eps - eps2 overflows
         product_form("Hamm2", 1.0, eps=1e308, eps2=-1e308)
-    assert str(info.value) == "coupling must be finite, got inf"
+    assert str(info.value) == "coupling must be finite"

@@ -28,6 +28,7 @@ from weaktensor import (
     norm,
     normalize,
     tensor_product,
+    total_dim,
 )
 from oracles import dense_pauli_string, dense_projector_product, random_state
 
@@ -110,6 +111,8 @@ def test_flat_index_big_endian():
     assert flat_index((1, 0), (2, 2)) == 2
     assert flat_index((0, 1), (2, 2)) == 1
     assert flat_index((1, 2), (2, 3)) == 5
+    # the last label's index is one below the total dimension
+    assert total_dim((2, 3, 5)) == 30 == flat_index((1, 2, 4), (2, 3, 5)) + 1
 
 
 def test_index_map_errors():

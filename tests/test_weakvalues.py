@@ -292,6 +292,25 @@ def test_permuting_the_axes_transposes_the_tensor_and_permutes_the_marginals(dim
     assert abs(tp.overlap - t.overlap) <= overlap_bound
 
 
+@settings(max_examples=60)
+@given(SHAPES, st.integers(0, 2**32 - 1), st.integers(-100, 100), st.integers(-100, 100))
+def test_power_of_two_rescaling_leaves_the_components_bit_identical(dims, seed, k_pre, k_post):
+    # a binary scale is exact in every product, in the overlap and in the quotient
+    pre, post = random_selected_pair(np.random.default_rng(seed), dims)
+    t = weak_tensor(Ket(dims, pre), Ket(dims, post))
+    scaled = weak_tensor(Ket(dims, pre * 2.0**k_pre), Ket(dims, post * 2.0**k_post))
+    assert scaled.components.tobytes() == t.components.tobytes()
+
+
+@settings(max_examples=60)
+@given(SHAPES, st.integers(0, 2**32 - 1))
+def test_expectation_tensor_is_the_weak_tensor_of_a_state_with_itself(dims, seed):
+    amps, _ = random_selected_pair(np.random.default_rng(seed), dims)
+    state = Ket(dims, amps)
+    diff = expectation_tensor(state).components - weak_tensor(state, state).components
+    assert np.max(np.abs(diff)) <= 4 * EPS
+
+
 # ---------------------------------------------------------------- dense oracle
 
 
@@ -332,6 +351,25 @@ def test_masking_matches_dense_oracle_for_all_products():
             masked = weak_value(pre, post, ProjectorProduct(factors))
             dense = weak_value_observable(pre, post, dense_projector_product(factors, dims))
             assert abs(masked - dense) < 1e-10
+
+
+@settings(max_examples=60)
+@given(SHAPES, st.integers(0, 2**32 - 1))
+def test_weak_value_is_the_slice_sum_and_the_dense_weak_value(dims, seed):
+    rng = np.random.default_rng(seed)
+    pre_amps, post_amps = random_selected_pair(rng, dims)
+    pre, post = Ket(dims, pre_amps), Ket(dims, post_amps)
+    factors = tuple(
+        (axis, int(rng.integers(d))) for axis, d in enumerate(dims) if rng.random() < 0.5
+    )
+    value = weak_value(pre, post, ProjectorProduct(factors))
+    t = weak_tensor(pre, post)
+    chosen = dict(factors)
+    support = tuple(chosen.get(axis, slice(None)) for axis in range(len(dims)))
+    assert value == complex(t.components[support].sum())  # bit for bit
+    if pre.dim <= 256:  # a dense D x D matrix beyond that costs too much memory
+        dense = weak_value_observable(pre, post, dense_projector_product(factors, dims))
+        assert abs(value - dense) <= 4 * EPS * np.sum(np.abs(t.components))
 
 
 # ------------------------------------------------- pairs determine singles
