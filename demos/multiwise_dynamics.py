@@ -13,7 +13,7 @@ from weaktensor import (
     epr_pair,
     evolve,
     exact_counterpart,
-    multiwise_epr_hamiltonian,
+    joint_hamiltonian,
     phase_report,
     product_form,
     tensor_product,
@@ -21,7 +21,7 @@ from weaktensor import (
 
 eps = 1.0
 state0 = tensor_product(epr_pair(), epr_pair())
-h = multiwise_epr_hamiltonian(eps, n_pairs=2)
+h = joint_hamiltonian("psit1", eps=eps)
 
 print("four-qubit coupling: energy", eps, "on the joint |1010> label only")
 print("nonzero energies:", {int(k): float(e) for k, e in enumerate(h.energies) if e})

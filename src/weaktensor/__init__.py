@@ -17,30 +17,28 @@ _EXPORTS = {
         "DimensionOverflowError", "DuplicateSubsystemError", "InvalidCountError",
         "LabelMismatchError", "LengthMismatchError", "LevelOutOfRangeError", "MissingParamError",
         "NonFiniteAmplitudeError", "NonFiniteEnergyError", "NonNumericAmplitudeError",
-        "NonQubitShapeError", "NonUniformShapeError", "NotThreeAxesError", "NotTwoAxesError",
-        "OrthogonalSelectionError", "OutOfRangeError", "ParseError", "SchemaViolationError",
-        "ShapeMismatchError", "SubsystemOutOfRangeError", "UnknownFamilyError",
-        "UnknownNameError", "UnsupportedRankError", "WeakTensorError", "WrongScenarioError",
-        "ZeroVectorError",
+        "NonQubitShapeError", "NonUniformShapeError", "OrthogonalSelectionError",
+        "OutOfRangeError", "ParseError", "SchemaViolationError", "ShapeMismatchError",
+        "SubsystemOutOfRangeError", "UnknownFamilyError", "UnknownNameError",
+        "UnsupportedRankError", "WeakTensorError", "WrongScenarioError", "ZeroVectorError",
     ),
     "hilbert": (
         "MAX_DIMENSION", "Ket", "ProjectorProduct", "apply_pauli_string",
         "apply_projector_product", "basis_label", "basis_labels", "basis_state", "check_dims",
-        "flat_index", "inner", "make_ket", "norm", "normalize", "tensor_product", "total_dim",
+        "flat_index", "inner", "make_ket", "norm", "normalize", "tensor_product",
     ),
     "weakvalues": (
         "ORTHO_TOL", "WeakValueTensor", "expectation_tensor", "marginalize",
-        "selection_overlap", "total_sum", "weak_tensor", "weak_value", "weak_value_observable",
+        "selection_overlap", "total_sum", "weak_tensor", "weak_value",
     ),
     "scenarios": (
         "SCENARIO_NAMES", "Scenario", "bell", "build_named", "cheshire", "custom", "ghz",
         "ghz3_selected", "ghz_ket", "hardy", "hardy_gamma", "hardy_overlap_labels",
     ),
     "dynamics": (
-        "PRODUCT_FAMILIES", "ComparisonReport", "DiagonalHamiltonian", "HamiltonianTerm",
-        "PhaseReport", "build_hamiltonian", "compare_states", "epr_pair", "evolve",
-        "exact_counterpart", "multiwise_epr_hamiltonian", "multiwise_ghz_hamiltonian",
-        "paired_epr_hamiltonian", "phase_report", "product_form",
+        "ComparisonReport", "DiagonalHamiltonian", "HamiltonianTerm", "PhaseReport",
+        "build_hamiltonian", "compare_states", "epr_pair", "evolve", "exact_counterpart",
+        "joint_hamiltonian", "phase_report", "product_form",
     ),
     "realization": (
         "basis_to_cell", "cell_to_basis", "diagonal_cells", "is_diagonal_supported",

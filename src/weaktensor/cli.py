@@ -8,7 +8,7 @@ Subcommands:
   a scenario JSON file).
 * ``tensor --pre FILE [--post FILE] [--format ...] [--out PATH]`` - tensor
   of custom states from single-state JSON files.
-* ``evolve --family F --eps X [--eps2 X] [--phi X] --time T [--compare]`` -
+* ``evolve --family F [--eps X] [--eps2 X] [--phi X] --time T [--compare]`` -
   product-form or exact multiwise-interaction evolution with a phase report.
 * ``realize --levels d --axes n`` - hypercube cell/basis table and diagonal.
 
@@ -26,6 +26,7 @@ import itertools
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -35,11 +36,13 @@ from .dynamics import (
 from .errors import WeakTensorError
 from .hilbert import basis_labels
 from .realization import diagonal_cells
-from .render import check_svg_rank, label_strs
+from .render import check_rank, label_strs
 from .scenarios import SCENARIO_NAMES, Scenario, build_named, custom
 from .schemefile import read_ket_file, read_scenario_file, render_document, scheme_document
 
 _REALIZE_TABLE_CAP = 4096
+
+_SVG_RANK = partial(check_rank, "SVG")
 
 
 class _UsageError(Exception):
@@ -70,7 +73,7 @@ def _scenario_for(args) -> Scenario:
             raise _UsageError("scenario hardy-gamma requires --gamma")
         return build_named(name, gamma=args.gamma, parties=args.parties, levels=args.levels)
     if os.path.exists(name):  # an SVG is refused by rank before the states are read
-        return read_scenario_file(name, check_svg_rank if args.format == "svg" else None)
+        return read_scenario_file(name, _SVG_RANK if args.format == "svg" else None)
     raise _UsageError(
         f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)} or a JSON file"
     )
@@ -103,7 +106,7 @@ def _cmd_run(args) -> bytes:
 
 def _cmd_tensor(args) -> bytes:
     # an SVG is refused by rank before any amplitude is read
-    pre = read_ket_file(args.pre, check_svg_rank if args.format == "svg" else None)
+    pre = read_ket_file(args.pre, _SVG_RANK if args.format == "svg" else None)
     post = read_ket_file(args.post) if args.post else None
     return render_document(scheme_document(custom(pre, post)), args.format)
 

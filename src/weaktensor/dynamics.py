@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    InvalidCountError,
     MissingParamError,
     ShapeMismatchError,
     UnknownFamilyError,
@@ -39,7 +38,6 @@ from .hilbert import (
     ZERO_NORM_TOL,
     Ket,
     ProjectorProduct,
-    _integers,
     _reals,
     basis_label,
     basis_labels,
@@ -181,8 +179,6 @@ FAMILIES = {
     ),
 }
 
-PRODUCT_FAMILIES = tuple(FAMILIES)
-
 
 def _hamiltonian(dims: Sequence[int], terms: Iterable[tuple[float, ProjectorProduct]]):
     return build_hamiltonian(dims, [HamiltonianTerm(energy, p) for energy, p in terms])
@@ -190,7 +186,7 @@ def _hamiltonian(dims: Sequence[int], terms: Iterable[tuple[float, ProjectorProd
 
 def _family(name: str, params: dict) -> tuple[Family, dict]:
     if name not in FAMILIES:
-        raise UnknownFamilyError(f"unknown family {name!r}; expected one of {PRODUCT_FAMILIES}")
+        raise UnknownFamilyError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
     family = FAMILIES[name]
     for param in family.params:
         if params.get(param) is None:
@@ -220,40 +216,20 @@ def product_form(family: str, t: float, **params: float) -> Ket:
     return reduce(tensor_product, [evolve(fam.factor, h, t) for h in hs])
 
 
-def multiwise_epr_hamiltonian(eps: float, n_pairs: int = 2) -> DiagonalHamiltonian:
-    """Joint-projector coupling of ``n_pairs`` EPR pairs: a single term of
-    energy ``eps`` on the joint ``|10>...|10>`` label."""
-    (n_pairs,) = _integers((n_pairs,), InvalidCountError, "pair count")
-    if n_pairs < 1:
-        raise InvalidCountError(f"need at least one pair, got {n_pairs}")
-    return _hamiltonian((2,) * (2 * n_pairs), [(eps, _on_copies(_EPR_10, range(n_pairs)))])
-
-
-def paired_epr_hamiltonian(eps1: float, eps2: float, n_pairs: int = 2) -> DiagonalHamiltonian:
-    """Two-term coupling of EPR pairs 1 and 2: ``eps1`` on the joint
-    ``|10>|10>`` label and ``eps2`` on the joint ``|01>|01>`` label, with any
-    further pairs uncoupled."""
-    (n_pairs,) = _integers((n_pairs,), InvalidCountError, "pair count")
-    if n_pairs < 2:
-        raise InvalidCountError("need at least the two coupled pairs")
-    terms = [(eps1, _on_copies(_EPR_10, (0, 1))), (eps2, _on_copies(_EPR_01, (0, 1)))]
-    return _hamiltonian((2,) * (2 * n_pairs), terms)
-
-
-def multiwise_ghz_hamiltonian(phi: float, n_cubes: int = 2) -> DiagonalHamiltonian:
-    """Joint-projector coupling of ``n_cubes`` GHZ cubes: a single term of
-    energy ``phi`` on the all-zeros label."""
-    (n_cubes,) = _integers((n_cubes,), InvalidCountError, "cube count")
-    if n_cubes < 1:
-        raise InvalidCountError(f"need at least one cube, got {n_cubes}")
-    return _hamiltonian((2,) * (3 * n_cubes), [(phi, _on_copies(_GHZ_000, range(n_cubes)))])
+def joint_hamiltonian(family: str, **params: float) -> DiagonalHamiltonian:
+    """Diagonal Hamiltonian of the named family's joint couplings (listed at
+    :func:`exact_counterpart`) on all its copies of the factor. Families and
+    parameters are checked as by :func:`product_form`."""
+    fam, values = _family(family, params)
+    dims = fam.factor.dims * len(fam.local)
+    return _hamiltonian(dims, [(rate(values), p) for rate, p in fam.joint])
 
 
 def exact_counterpart(family: str, t: float, **params: float) -> Ket:
     """Exact diagonal evolution of the system behind a product-form family.
 
     The initial state is the product of EPR pairs or GHZ cubes and the
-    Hamiltonian is the corresponding joint-projector coupling:
+    Hamiltonian is :func:`joint_hamiltonian`, the family's joint couplings:
 
     * ``psit1``: EPR x EPR under eps on the joint ``|10>|10>`` label.
     * ``E111``: three EPR pairs under eps on the joint all-``|10>`` label.
@@ -265,9 +241,8 @@ def exact_counterpart(family: str, t: float, **params: float) -> Ket:
       cubes 1 and 2 and ``phi + eps`` on the all-ones label of cubes 2
       and 3 (the third cube sits at the ``|111>`` corner of the second).
     """
-    fam, values = _family(family, params)
-    state = reduce(tensor_product, [fam.factor] * len(fam.local))
-    return evolve(state, _hamiltonian(state.dims, [(r(values), p) for r, p in fam.joint]), t)
+    h, fam = joint_hamiltonian(family, **params), FAMILIES[family]
+    return evolve(reduce(tensor_product, [fam.factor] * len(fam.local)), h, t)
 
 
 @dataclass(frozen=True)

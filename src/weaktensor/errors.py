@@ -65,7 +65,7 @@ class OrthogonalSelectionError(WeakTensorError):
 
 
 class InvalidCountError(WeakTensorError, ValueError):
-    """A party, level or pair count is below the supported minimum."""
+    """A party or level count is below the supported minimum."""
 
 
 class WrongScenarioError(WeakTensorError):
@@ -92,16 +92,8 @@ class NonUniformShapeError(WeakTensorError):
     """An operation requiring equal local dimensions got a mixed shape."""
 
 
-class NotTwoAxesError(WeakTensorError):
-    """Grid rendering requires exactly two axes."""
-
-
-class NotThreeAxesError(WeakTensorError):
-    """Cube rendering requires exactly three axes."""
-
-
 class UnsupportedRankError(WeakTensorError):
-    """SVG rendering supports only rank-2 and rank-3 tensors."""
+    """A renderer (the grid, the cube or SVG) cannot draw a tensor of this rank."""
 
 
 class ParseError(WeakTensorError):

@@ -92,10 +92,6 @@ def check_labels(
     return out
 
 
-def total_dim(dims: Sequence[int]) -> int:
-    return math.prod(dims)
-
-
 def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
     """Big-endian flat index of a basis label: the one reader of a full label."""
     label = _integers(label, LevelOutOfRangeError, "levels")

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotThreeAxesError, NotTwoAxesError, UnsupportedRankError
+from .errors import UnsupportedRankError
 from .hilbert import check_labels
 from .weakvalues import WeakValueTensor, total_sum
 
@@ -36,6 +36,18 @@ IMAG_WARN_CELLS = 8
 
 #: Real parts within this of zero are rendered with the neutral fill.
 SIGN_TOL = 1e-12
+
+#: The ranks each renderer draws, keyed by the name its refusal gives.
+RANKS = {"grid": (2,), "cube": (3,), "SVG": (2, 3)}
+
+
+def check_rank(renderer: str, rank: int) -> None:
+    """The one rank rule: raise :class:`UnsupportedRankError` unless
+    ``renderer`` (a key of :data:`RANKS`) draws ``rank`` axes."""
+    ranks = RANKS[renderer]
+    if rank not in ranks:
+        listed = "s" * (len(ranks) > 1) + " " + " and ".join(map(str, ranks))
+        raise UnsupportedRankError(f"{renderer} rendering supports rank{listed}, got rank {rank}")
 
 
 def fmt_real(value: complex) -> str:
@@ -151,8 +163,7 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     :data:`IMAG_WARN_TOL`: the first :data:`IMAG_WARN_CELLS` in flat order,
     then a count of the rest.
     """
-    if t.rank != 2:
-        raise NotTwoAxesError(f"grid rendering requires rank 2, got rank {t.rank}")
+    check_rank("grid", t.rank)
     labels = check_labels(labels, t.dims)
     sums = (*map(fmt_reals, t.marginals), fmt_real(total_sum(t)))
     lines = _grid_lines(fmt_reals(t.components), labels[0], labels[1], sums)
@@ -166,8 +177,7 @@ def render_cube(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     Within slice ``i``, rows are axis 1 and columns axis 2, and the cube
     diagonal cell ``(i, i, i)`` is marked with ``*``.
     """
-    if t.rank != 3:
-        raise NotThreeAxesError(f"cube rendering requires rank 3, got rank {t.rank}")
+    check_rank("cube", t.rank)
     labels = check_labels(labels, t.dims)
     _, rows, cols = t.dims
     lines: list[str] = []
@@ -202,12 +212,6 @@ def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14)
     )
 
 
-def check_svg_rank(rank: int) -> None:
-    """Raise :class:`UnsupportedRankError` unless SVG can draw ``rank`` axes."""
-    if rank not in (2, 3):
-        raise UnsupportedRankError(f"SVG rendering supports ranks 2 and 3, got rank {rank}")
-
-
 def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None) -> bytes:
     """Static SVG 1.1 rendering of a rank-2 or rank-3 tensor.
 
@@ -217,7 +221,7 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     along axis 0 with the cube diagonal cells outlined. Output is
     deterministic byte-for-byte.
     """
-    check_svg_rank(t.rank)
+    check_rank("SVG", t.rank)
     labels = check_labels(labels, t.dims)
     flat = t.components.reshape(-1)
     texts = fmt_reals(flat)

@@ -151,16 +151,3 @@ def marginalize(t: WeakValueTensor, keep: int) -> list[complex]:
 def total_sum(t: WeakValueTensor) -> complex:
     """Sum of all components (1 for both tensor kinds, up to rounding)."""
     return complex(t.components.sum())
-
-
-def weak_value_observable(pre: Ket, post: Ket, matrix) -> complex:
-    """Weak value ``<post| A |pre> / <post|pre>`` of a dense operator matrix.
-
-    Brute-force route used as the independent oracle for the index-based
-    projector paths.
-    """
-    overlap = selection_overlap(pre, post)
-    a = read_only_complex(matrix, what="operator entries")
-    if a.shape != (pre.dim, pre.dim):
-        raise ShapeMismatchError(f"operator shape {a.shape} does not match dimension {pre.dim}")
-    return complex(np.vdot(post.amps, a @ pre.amps) / overlap)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from weaktensor.errors import SchemaViolationError
+from weaktensor.errors import SchemaViolationError, ShapeMismatchError
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -40,6 +40,16 @@ def dense_projector_product(factors, dims):
             block = np.eye(d, dtype=complex)
         blocks.append(block)
     return kron_chain(blocks)
+
+
+def weak_value_observable(pre, post, matrix):
+    """Weak value ``<post| A |pre> / <post|pre>`` of a dense operator matrix,
+    the brute-force route the index-based projector paths are checked
+    against."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.shape != (pre.dim, pre.dim):
+        raise ShapeMismatchError(f"operator shape {a.shape} does not match dimension {pre.dim}")
+    return complex(np.vdot(post.amps, a @ pre.amps) / np.vdot(post.amps, pre.amps))
 
 
 def dense_pauli_string(letters):

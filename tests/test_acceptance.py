@@ -25,9 +25,8 @@ from weaktensor import (
     compare_states,
     hardy,
     hardy_overlap_labels,
+    joint_hamiltonian,
     marginalize,
-    multiwise_epr_hamiltonian,
-    multiwise_ghz_hamiltonian,
     norm,
     phase_report,
     product_form,
@@ -42,13 +41,13 @@ from weaktensor import (
     total_sum,
     weak_tensor,
     weak_value,
-    weak_value_observable,
 )
 from oracles import (
     all_projector_products,
     dense_pauli_string,
     dense_projector_product,
     random_selected_pair,
+    weak_value_observable,
 )
 
 TOL = 1e-10
@@ -161,7 +160,7 @@ def test_criterion_08_dynamics_exactness():
     eps, phi, t = 0.9, 0.4, 1.3
 
     state = tensor_product(epr_pair(), epr_pair())
-    h4 = multiwise_epr_hamiltonian(eps, 2)
+    h4 = joint_hamiltonian("psit1", eps=eps)
     out = evolve(state, h4, t)
     joint = flat_index((1, 0, 1, 0), state.dims)
     assert abs(out.amps[joint] - state.amps[joint] * np.exp(-1j * eps * t)) < TOL
@@ -169,7 +168,7 @@ def test_criterion_08_dynamics_exactness():
     np.testing.assert_array_equal(out.amps[others], state.amps[others])
 
     ghz2 = tensor_product(ghz_ket(3, 2), ghz_ket(3, 2))
-    h6 = multiwise_ghz_hamiltonian(phi, 2)
+    h6 = joint_hamiltonian("GHZ2", phi=phi)
     out6 = evolve(ghz2, h6, t)
     assert abs(out6.amps[0] - ghz2.amps[0] * np.exp(-1j * phi * t)) < TOL
     np.testing.assert_array_equal(out6.amps[1:], ghz2.amps[1:])

@@ -22,10 +22,8 @@ from weaktensor import (
     expectation_tensor,
     flat_index,
     ghz_ket,
-    multiwise_epr_hamiltonian,
-    multiwise_ghz_hamiltonian,
+    joint_hamiltonian,
     norm,
-    paired_epr_hamiltonian,
     phase_report,
     product_form,
     tensor_product,
@@ -50,22 +48,22 @@ def test_joint_epr_coupling_has_single_energy():
     expected = np.zeros(16)
     expected[flat_index((1, 0, 1, 0), (2, 2, 2, 2))] = 0.8
     np.testing.assert_array_equal(h.energies, expected)
-    np.testing.assert_array_equal(multiwise_epr_hamiltonian(0.8, 2).energies, expected)
+    np.testing.assert_array_equal(joint_hamiltonian("psit1", eps=0.8).energies, expected)
 
 
 def test_three_pair_joint_coupling_has_single_energy():
-    h = multiwise_epr_hamiltonian(0.6, n_pairs=3)
+    h = joint_hamiltonian("E111", eps=0.6)
     expected = np.zeros(64)
     expected[flat_index((1, 0, 1, 0, 1, 0), (2,) * 6)] = 0.6
     np.testing.assert_array_equal(h.energies, expected)
 
 
 def test_two_term_epr_coupling():
-    h = paired_epr_hamiltonian(0.3, 0.9)
-    expected = np.zeros(16)
+    h = joint_hamiltonian("Hamm2", eps=0.3, eps2=0.9)
+    expected = np.zeros((16, 4))  # rows: pairs 1 and 2; columns: the uncoupled pair 3
     expected[flat_index((1, 0, 1, 0), (2, 2, 2, 2))] = 0.3
     expected[flat_index((0, 1, 0, 1), (2, 2, 2, 2))] = 0.9
-    np.testing.assert_array_equal(h.energies, expected)
+    np.testing.assert_array_equal(h.energies, expected.reshape(-1))
 
 
 def test_empty_term_list_gives_zero_hamiltonian():
@@ -90,7 +88,7 @@ def test_hamiltonian_term_validation():
 
 
 def test_ghz_coupling_energy_on_all_zeros():
-    h = multiwise_ghz_hamiltonian(1.7, 2)
+    h = joint_hamiltonian("GHZ2", phi=1.7)
     expected = np.zeros(64)
     expected[0] = 1.7
     np.testing.assert_array_equal(h.energies, expected)
@@ -100,14 +98,14 @@ def test_ghz_coupling_energy_on_all_zeros():
 
 
 def test_evolve_at_time_zero_is_identity():
-    h = multiwise_epr_hamiltonian(0.9, 2)
+    h = joint_hamiltonian("psit1", eps=0.9)
     state = epr_epr()
     np.testing.assert_array_equal(evolve(state, h, 0.0).amps, state.amps)
 
 
 def test_evolve_phases_only_the_joint_epr_label():
     eps, t = 0.9, 1.3
-    h = multiwise_epr_hamiltonian(eps, 2)
+    h = joint_hamiltonian("psit1", eps=eps)
     state = epr_epr()
     out = evolve(state, h, t)
     joint = flat_index((1, 0, 1, 0), (2, 2, 2, 2))
@@ -119,22 +117,22 @@ def test_evolve_phases_only_the_joint_epr_label():
 def test_evolve_phases_only_the_joint_ghz_label():
     phi, t = 0.4, 2.1
     state = tensor_product(ghz_ket(3, 2), ghz_ket(3, 2))
-    out = evolve(state, multiwise_ghz_hamiltonian(phi, 2), t)
+    out = evolve(state, joint_hamiltonian("GHZ2", phi=phi), t)
     assert out.amps[0] == pytest.approx(state.amps[0] * np.exp(-1j * phi * t))
     np.testing.assert_array_equal(out.amps[1:], state.amps[1:])
 
 
 def test_evolve_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        evolve(epr_pair(), multiwise_epr_hamiltonian(1.0, 2), 0.5)
+        evolve(epr_pair(), joint_hamiltonian("psit1", eps=1.0), 0.5)
 
 
 def test_evolve_matches_dense_expm_oracle():
     rng = np.random.default_rng(41)
     cases = [
-        (multiwise_epr_hamiltonian(0.7, 2), (2, 2, 2, 2)),
-        (multiwise_ghz_hamiltonian(0.3, 2), (2,) * 6),
-        (paired_epr_hamiltonian(0.7, 1.9, n_pairs=3), (2,) * 6),
+        (joint_hamiltonian("psit1", eps=0.7), (2, 2, 2, 2)),
+        (joint_hamiltonian("GHZ2", phi=0.3), (2,) * 6),
+        (joint_hamiltonian("Hamm2", eps=0.7, eps2=1.9), (2,) * 6),
         (
             build_hamiltonian((2, 3), [HamiltonianTerm(0.5, ProjectorProduct(((1, 2),)))]),
             (2, 3),
@@ -149,16 +147,16 @@ def test_evolve_matches_dense_expm_oracle():
 
 
 def test_evolve_composition_additive_in_time():
-    h = paired_epr_hamiltonian(0.31, 0.77)
+    h = joint_hamiltonian("Hamm2", eps=0.31, eps2=0.77)
     rng = np.random.default_rng(42)
-    state = Ket((2, 2, 2, 2), random_state(rng, (2, 2, 2, 2)))
+    state = Ket((2,) * 6, random_state(rng, (2,) * 6))
     a = evolve(evolve(state, h, 0.6), h, 1.1)
     b = evolve(state, h, 1.7)
     np.testing.assert_allclose(a.amps, b.amps, atol=1e-10)
 
 
 def test_evolve_preserves_amplitude_magnitudes():
-    h = multiwise_epr_hamiltonian(1.1, 2)
+    h = joint_hamiltonian("psit1", eps=1.1)
     state = epr_epr()
     out = evolve(state, h, 17.3)
     np.testing.assert_allclose(np.abs(out.amps), np.abs(state.amps), rtol=1e-14, atol=1e-15)
@@ -167,7 +165,7 @@ def test_evolve_preserves_amplitude_magnitudes():
 def test_norm_drift_over_accumulated_steps():
     # long evolutions are single closed-form calls: accumulate 1e6 steps of
     # time and evolve once
-    h = multiwise_epr_hamiltonian(0.7, 2)
+    h = joint_hamiltonian("psit1", eps=0.7)
     state = epr_epr()
     dt, steps = 1e-3, 10**6
     out = evolve(state, h, steps * dt)
@@ -181,7 +179,7 @@ def test_norm_drift_over_accumulated_steps():
 
 def test_evolve_periodicity_of_single_coupling():
     eps = 0.9
-    h = multiwise_epr_hamiltonian(eps, 2)
+    h = joint_hamiltonian("psit1", eps=eps)
     state = epr_epr()
     period = 2.0 * math.pi / eps
     for t in (0.0, 0.4, 3.3):
@@ -274,14 +272,15 @@ def test_psighz11_with_zero_eps_leaves_cube2_unphased():
 
 
 def test_product_form_errors():
-    with pytest.raises(UnknownFamilyError):
-        product_form("psit9", 1.0, eps=1.0)
-    with pytest.raises(MissingParamError):
-        product_form("psit1", 1.0)
-    with pytest.raises(MissingParamError):
-        product_form("Hamm2", 1.0, eps=1.0)
-    with pytest.raises(MissingParamError):
-        product_form("PsiGHZ11", 1.0, phi=1.0)
+    for route in (lambda name, **params: product_form(name, 1.0, **params), joint_hamiltonian):
+        with pytest.raises(UnknownFamilyError):
+            route("psit9", eps=1.0)
+        with pytest.raises(MissingParamError):
+            route("psit1")
+        with pytest.raises(MissingParamError):
+            route("Hamm2", eps=1.0)
+        with pytest.raises(MissingParamError):
+            route("PsiGHZ11", phi=1.0)
 
 
 # -------------------------------------------------- exact vs product forms
@@ -345,7 +344,7 @@ def test_compare_states_errors():
 def test_phase_report_of_joint_epr_evolution():
     eps, t = 0.9, 0.8
     state = epr_epr()
-    evolved = evolve(state, multiwise_epr_hamiltonian(eps, 2), t)
+    evolved = evolve(state, joint_hamiltonian("psit1", eps=eps), t)
     report = phase_report(evolved, state)
     assert set(report) == {(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)}
     assert report[(1, 0, 1, 0)] == pytest.approx(-eps * t)
@@ -378,7 +377,7 @@ def test_phase_report_range():
 def test_time_must_be_one_real_number():
     from weaktensor import NonFiniteEnergyError
 
-    h = multiwise_epr_hamiltonian(1.0, 1)
+    h = build_hamiltonian((2, 2), [HamiltonianTerm(1.0, ProjectorProduct(((0, 1), (1, 0))))])
     # not one real number: a complex value, a string, None, an array
     for bad in (2j, "1", None, np.array([1.0, 2.0])):
         with pytest.raises(NonFiniteEnergyError):

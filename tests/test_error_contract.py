@@ -31,11 +31,9 @@ from weaktensor import (
     ghz_ket,
     hardy,
     hardy_gamma,
+    joint_hamiltonian,
     make_ket,
     marginalize,
-    multiwise_epr_hamiltonian,
-    multiwise_ghz_hamiltonian,
-    paired_epr_hamiltonian,
     phase_report,
     product_form,
     render_document,
@@ -70,26 +68,6 @@ def test_unknown_names_keep_their_messages(call, message):
     assert str(info.value) == message
 
 
-def test_paired_hamiltonian_needs_two_pairs():
-    with pytest.raises(InvalidCountError) as info:
-        paired_epr_hamiltonian(1.0, 0.5, n_pairs=1)
-    assert str(info.value) == "need at least the two coupled pairs"
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: multiwise_epr_hamiltonian(1.0, 0), "need at least one pair, got 0"),
-        (lambda: multiwise_ghz_hamiltonian(1.0, -1), "need at least one cube, got -1"),
-    ],
-)
-def test_multiwise_hamiltonians_need_one_copy(call, message):
-    # an empty shape used to surface as ShapeMismatchError from check_dims
-    with pytest.raises(InvalidCountError) as info:
-        call()
-    assert str(info.value) == message
-
-
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -115,7 +93,7 @@ def test_non_finite_phase_angles_raise_before_exp(t):
         product_form("GHZ2", t, phi=1e10)
     state = tensor_product(epr_pair(), epr_pair())
     with pytest.raises(NonFiniteEnergyError, match="^time must be finite$"):
-        evolve(state, multiwise_epr_hamiltonian(1e10), t)
+        evolve(state, joint_hamiltonian("psit1", eps=1e10), t)
 
 
 def test_an_overflowing_phase_angle_is_a_non_finite_amplitude():
@@ -125,7 +103,7 @@ def test_an_overflowing_phase_angle_is_a_non_finite_amplitude():
         product_form("GHZ2", 1e308, phi=1e10)
     state = tensor_product(epr_pair(), epr_pair())
     with pytest.raises(NonFiniteAmplitudeError, match="^amplitudes must be finite$"):
-        evolve(state, multiwise_epr_hamiltonian(1e10), 1e308)
+        evolve(state, joint_hamiltonian("psit1", eps=1e10), 1e308)
 
 
 @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 10**400])
@@ -136,7 +114,7 @@ def test_non_finite_gamma_raises_before_exp(gamma):
 
 def test_finite_angles_still_evolve():
     state = tensor_product(epr_pair(), epr_pair())
-    evolved = evolve(state, multiwise_epr_hamiltonian(1e10), 1e290)
+    evolved = evolve(state, joint_hamiltonian("psit1", eps=1e10), 1e290)
     assert np.all(np.isfinite(evolved.amps))
 
 
@@ -185,9 +163,6 @@ def test_make_ket_still_reports_a_nan_as_non_finite():
         (lambda: ghz_ket(2.5, 2), InvalidCountError),
         (lambda: build_named("ghz", parties=2.5), InvalidCountError),
         (lambda: ghz_ket(2, 2.5), InvalidCountError),
-        (lambda: multiwise_epr_hamiltonian(1, 2.5), InvalidCountError),
-        (lambda: paired_epr_hamiltonian(1, 1, 2.5), InvalidCountError),
-        (lambda: multiwise_ghz_hamiltonian(1, 2.5), InvalidCountError),
         (lambda: cell_to_basis(1, 2.5, 2), OutOfRangeError),
         (lambda: cell_to_basis(1, 2, 1.5), OutOfRangeError),
         (lambda: marginalize(cheshire().tensor(), 1.5), SubsystemOutOfRangeError),

@@ -20,10 +20,11 @@ from weaktensor import (
     build_hamiltonian,
     cli_main,
     evolve,
+    joint_hamiltonian,
     product_form,
     tensor_product,
 )
-from weaktensor.dynamics import FAMILIES, PRODUCT_FAMILIES
+from weaktensor.dynamics import FAMILIES
 from oracles import dense_projector_product, kron_chain, product_form_loop
 from test_families import SPEC
 
@@ -55,7 +56,7 @@ GOLDEN_ARGV = {
 def param_sets(name):
     """Three random parameter sets, then all ``0.0`` and all ``-0.0``."""
     params = FAMILIES[name].params
-    rng = np.random.default_rng(PRODUCT_FAMILIES.index(name))
+    rng = np.random.default_rng(list(FAMILIES).index(name))
     drawn = [{p: float(rng.uniform(-2.0, 2.0)) for p in params} for _ in range(3)]
     return drawn + [dict.fromkeys(params, 0.0), dict.fromkeys(params, -0.0)]
 
@@ -65,7 +66,7 @@ def on_copy(selector, width, j):
 
 
 @pytest.mark.parametrize("t", TIMES)
-@pytest.mark.parametrize("name", PRODUCT_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_product_form_is_the_per_copy_loop_bit_for_bit(name, t):
     _, phased, _ = SPEC[name]
     for params in param_sets(name):
@@ -73,7 +74,7 @@ def test_product_form_is_the_per_copy_loop_bit_for_bit(name, t):
         assert product_form(name, t, **params).amps.tobytes() == expected.tobytes(), params
 
 
-@pytest.mark.parametrize("name", PRODUCT_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_local_selectors_lie_within_one_factor(name):
     family = FAMILIES[name]
     dims = family.factor.dims
@@ -84,7 +85,7 @@ def test_local_selectors_lie_within_one_factor(name):
         assert np.abs(family.factor.amps.reshape(dims)[selector.index(dims)]).sum() > 0
 
 
-@pytest.mark.parametrize("name", PRODUCT_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_joint_selectors_are_products_of_the_factor_projectors(name):
     family = FAMILIES[name]
     width, copies = len(family.factor.dims), len(family.local)
@@ -104,9 +105,13 @@ def test_joint_selectors_are_products_of_the_factor_projectors(name):
         np.testing.assert_array_equal(
             dense_projector_product(selector.factors, dims), kron_chain(blocks)
         )
+    for params in param_sets(name):  # the public builder is these couplings, bit for bit
+        terms = [HamiltonianTerm(rate(params), selector) for rate, selector in family.joint]
+        want = build_hamiltonian(dims, terms).energies.tobytes()
+        assert joint_hamiltonian(name, **params).energies.tobytes() == want, params
 
 
-@pytest.mark.parametrize("name", PRODUCT_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_product_form_is_exact_evolution_under_the_summed_local_couplings(name):
     family = FAMILIES[name]
     width = len(family.factor.dims)

@@ -49,11 +49,11 @@ from weaktensor import (
     flat_index,
     ghz3_selected,
     hardy_gamma,
+    joint_hamiltonian,
     make_ket,
     phase_report,
     product_form,
     tensor_product,
-    weak_value_observable,
 )
 from weaktensor.dynamics import FAMILIES
 from weaktensor.schemefile import _parse_shape
@@ -263,7 +263,7 @@ def test_dims_and_projector_levels_are_integers_never_truncated(call):
 
 # ---------------------------------------------------------------- the number rule
 
-ZERO, PLUS = basis_state((2,), (0,)), make_ket((2,), [1, 1])
+PLUS = make_ket((2,), [1, 1])
 STEP = DiagonalHamiltonian((2,), [0.0, 1.0])
 AMPLITUDE_ERRORS = {"non-number": NonNumericAmplitudeError, "huge": NonFiniteAmplitudeError}
 ENERGY_ERRORS = {"non-number": NonFiniteEnergyError, "huge": NonFiniteEnergyError}
@@ -277,8 +277,6 @@ NUMBER_INPUTS = {
                           False, False, AMPLITUDE_ERRORS),
     "tensor-overlap": (lambda x: WeakValueTensor((2,), [1, 0], "weak", x).overlap, False, True,
                        {**AMPLITUDE_ERRORS, "list": LengthMismatchError}),
-    "observable": (lambda x: weak_value_observable(ZERO, ZERO, [[x, 0], [0, 0]]), False, False,
-                   AMPLITUDE_ERRORS),
     "HamiltonianTerm": (lambda x: HamiltonianTerm(x, ProjectorProduct()).coupling, True, True,
                         ENERGY_ERRORS),
     "DiagonalHamiltonian": (lambda x: DiagonalHamiltonian((2,), [x, 0]).energies[0], True, False,
@@ -287,6 +285,8 @@ NUMBER_INPUTS = {
     "product_form": (lambda x: product_form("psit1", 1.0, eps=x).amps, True, True, NAMED),
     "exact_counterpart": (lambda x: exact_counterpart("PsiGHZ11", 1.0, phi=0.5, eps=x).amps,
                           True, True, NAMED),
+    "joint_hamiltonian": (lambda x: joint_hamiltonian("Hamm2", eps=1.0, eps2=x).energies, True,
+                          True, NAMED),
     "hardy_gamma": (lambda x: hardy_gamma(x).pre.amps, True, True, NAMED),
     "build_named": (lambda x: build_named("hardy-gamma", gamma=x).pre.amps, True, True, NAMED),
 }
@@ -324,9 +324,9 @@ def _document_marginal(x):
 #: entry point -> the input its number errors name
 NUMBER_NAMES = {
     "Ket": "amplitudes", "make_ket": "amplitudes", "tensor-components": "components",
-    "tensor-overlap": "overlap", "observable": "operator entries",
-    "HamiltonianTerm": "coupling", "DiagonalHamiltonian": "energies", "evolve-time": "time",
-    "product_form": "eps", "exact_counterpart": "eps", "hardy_gamma": "gamma",
+    "tensor-overlap": "overlap", "HamiltonianTerm": "coupling",
+    "DiagonalHamiltonian": "energies", "evolve-time": "time", "product_form": "eps",
+    "exact_counterpart": "eps", "joint_hamiltonian": "eps2", "hardy_gamma": "gamma",
     "build_named": "gamma", "document-marginals": "marginals",
 }
 
@@ -362,5 +362,5 @@ def test_all_is_derived_from_the_package_imports():
         if isinstance(value, ModuleType) and not name.startswith("_"):
             assert value.__name__ == f"weaktensor.{name}", name
     # exported although no test imports them through the package
-    assert {"MAX_DIMENSION", "ORTHO_TOL", "PRODUCT_FAMILIES", "ComparisonReport", "Scenario",
-            "selection_overlap", "total_dim"} <= set(names)
+    assert {"MAX_DIMENSION", "ORTHO_TOL", "ComparisonReport", "Scenario",
+            "selection_overlap"} <= set(names)

@@ -6,8 +6,6 @@ import pytest
 from weaktensor import (
     Ket,
     LabelMismatchError,
-    NotThreeAxesError,
-    NotTwoAxesError,
     UnsupportedRankError,
     WeakValueTensor,
     build_named,
@@ -155,21 +153,21 @@ def test_svg_escapes_markup_in_labels():
 # ---------------------------------------------------------------- errors
 
 
-def test_render_grid_requires_rank_two():
-    tensor, labels = named_tensor("ghz3-selected")
-    with pytest.raises(NotTwoAxesError):
-        render_grid(tensor, labels)
-
-
-def test_render_cube_requires_rank_three():
-    tensor, labels = named_tensor("cheshire")
-    with pytest.raises(NotThreeAxesError):
-        render_cube(tensor, labels)
-
-
-def test_render_svg_rejects_rank_four():
-    with pytest.raises(UnsupportedRankError):
-        render_svg(rank4_tensor())
+@pytest.mark.parametrize(
+    "render, tensor, message",
+    [
+        (render_grid, lambda: named_tensor("ghz3-selected")[0],
+         "grid rendering supports rank 2, got rank 3"),
+        (render_cube, lambda: named_tensor("cheshire")[0],
+         "cube rendering supports rank 3, got rank 2"),
+        (render_svg, rank4_tensor, "SVG rendering supports ranks 2 and 3, got rank 4"),
+    ],
+    ids=["grid", "cube", "svg"],
+)
+def test_a_renderer_refuses_a_rank_it_cannot_draw(render, tensor, message):
+    with pytest.raises(UnsupportedRankError) as info:
+        render(tensor())
+    assert str(info.value) == message
 
 
 def test_render_label_mismatch():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -24,7 +25,7 @@ from weaktensor import (
     write_scheme,
 )
 from weaktensor.errors import UnsupportedRankError
-from weaktensor.render import check_svg_rank
+from weaktensor.render import check_rank
 
 HARDY_JSON = """
 {
@@ -273,15 +274,15 @@ def test_a_read_leaves_the_collector_as_it_was(reader, case, enabled, tmp_path):
     else:  # the same shape and amplitudes as the scenario's pre state
         path.write_bytes(ket.replace(b'"amps": ', b'"pre": {"amps": ').replace(b"]]", b"]]}"))
         read = read_scenario_file
-    check_rank = check_svg_rank if case == "rank-refused" else None
+    svg_rank = functools.partial(check_rank, "SVG") if case == "rank-refused" else None
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if error is None:
-            read(path, check_rank)
+            read(path, svg_rank)
         else:
             with pytest.raises(error):
-                read(path, check_rank)
+                read(path, svg_rank)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

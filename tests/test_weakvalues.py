@@ -22,12 +22,12 @@ from weaktensor import (
     total_sum,
     weak_tensor,
     weak_value,
-    weak_value_observable,
 )
 from oracles import (
     all_projector_products,
     dense_projector_product,
     random_selected_pair,
+    weak_value_observable,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -36,6 +36,9 @@ EPS = np.finfo(np.float64).eps
 
 #: random mixed shapes: levels 2-5, ranks 1-5, so at most 5**5 = 3125 components
 SHAPES = st.lists(st.integers(2, 5), min_size=1, max_size=5).map(tuple)
+
+#: shapes small enough for a dense D x D operator: levels 2-4, ranks 1-4, D <= 256
+DENSE_SHAPES = st.lists(st.integers(2, 4), min_size=1, max_size=4).map(tuple)
 
 
 def cheshire_pair():
@@ -372,7 +375,30 @@ def test_weak_value_is_the_slice_sum_and_the_dense_weak_value(dims, seed):
         assert abs(value - dense) <= 4 * EPS * np.sum(np.abs(t.components))
 
 
-# ------------------------------------------------- pairs determine singles
+# ------------------------------------------------- what the tensor determines
+
+
+@settings(max_examples=60)
+@given(DENSE_SHAPES, st.integers(0, 2**32 - 1))
+def test_the_tensor_fixes_every_weak_value_diagonal_in_the_product_basis(dims, seed):
+    rng = np.random.default_rng(seed)
+    pre_amps, post_amps = random_selected_pair(rng, dims)
+    pre, post = Ket(dims, pre_amps), Ket(dims, post_amps)
+    f = rng.standard_normal(pre.dim)
+    fw = f * weak_tensor(pre, post).components.reshape(-1)
+    dense = weak_value_observable(pre, post, np.diag(f))
+    assert abs(complex(fw.sum()) - dense) <= 4 * EPS * np.sum(np.abs(fw))
+
+
+def test_the_tensor_does_not_fix_an_off_diagonal_weak_value():
+    # |0>+|1> and |0>-|1>, each selected against itself, share the tensor
+    # (1/2, 1/2), but their sigma_x weak values are +1 and -1
+    plus, minus = make_ket((2,), [1, 1]), make_ket((2,), [1, -1])
+    sigma_x = [[0, 1], [1, 0]]
+    for state, sign in ((plus, 1.0), (minus, -1.0)):
+        np.testing.assert_array_equal(weak_tensor(state, state).components, [0.5, 0.5])
+        assert weak_value_observable(state, state, sigma_x) == sign
+
 
 
 def test_distinct_tensors_with_identical_marginals():
