@@ -20,7 +20,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -83,6 +83,15 @@ class DiagonalHamiltonian:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "energies", energies)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(levels, index)``, read-only and computed once: the distinct
+        energies, told apart by their bits (so ``-0.0`` is its own level), and
+        each basis state's position in ``levels``, so that
+        ``levels[index]`` is ``energies`` bit for bit."""
+        levels, index = np.unique(self.energies.view(np.int64), return_inverse=True)
+        return freeze(levels.view(np.float64)), freeze(index)
+
 
 def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> DiagonalHamiltonian:
     """Sum coupling-weighted projector products into a diagonal Hamiltonian.
@@ -100,13 +109,19 @@ def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> 
 
 def evolve(state: Ket, h: DiagonalHamiltonian, t: float) -> Ket:
     """Exact evolution: amplitude k is multiplied by exp(-i * E_k * t). The
-    time is one real number, by the rule couplings and energies follow."""
+    time is one real number, by the rule couplings and energies follow.
+
+    The exponential is taken once per distinct energy of ``h.spectrum``
+    (computed on the first call with ``h``, then kept) and gathered per
+    basis state; the amplitudes are those of
+    ``state.amps * np.exp(-1j * h.energies * t)`` bit for bit."""
     if state.dims != h.dims:
         raise ShapeMismatchError(f"state shape {state.dims} differs from {h.dims}")
     t = _reals(t, "time", one=True)
+    levels, index = h.spectrum
     # a finite E_k * t that overflows makes a NaN amplitude, which Ket refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = state.amps * np.exp(-1j * h.energies * t)
+        amps = state.amps * np.exp(-1j * levels * t)[index]
     return Ket(state.dims, freeze(amps))
 
 
@@ -258,7 +273,8 @@ def _gauge_fixed(k: Ket, n: float) -> np.ndarray:
     # largest-magnitude amplitude is real and positive
     u = k.amps / n
     anchor = u[int(np.argmax(np.abs(u)))]
-    return u * (np.conj(anchor) / abs(anchor))
+    u *= np.conj(anchor) / abs(anchor)
+    return u
 
 
 def compare_states(a: Ket, b: Ket) -> ComparisonReport:
@@ -274,8 +290,9 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         raise ZeroVectorError("cannot compare (near-)zero states")
     fidelity = abs(overlap) ** 2 / (na**2 * nb**2)
-    diff = float(np.max(np.abs(_gauge_fixed(a, na) - _gauge_fixed(b, nb))))
-    return ComparisonReport(fidelity=float(fidelity), max_component_diff=diff)
+    diff = _gauge_fixed(a, na)
+    diff -= _gauge_fixed(b, nb)
+    return ComparisonReport(fidelity=float(fidelity), max_component_diff=float(np.abs(diff).max()))
 
 
 class PhaseReport(Mapping):

@@ -106,8 +106,13 @@ class ParseError(WeakTensorError):
 
 
 class SchemaViolationError(WeakTensorError):
-    """A scenario file is valid JSON but violates the scenario schema."""
+    """A scenario file is valid JSON but violates the scenario schema: ``field``
+    names the offending field, ``message`` says what is wrong with it."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):  # unpickling calls the class with (field, message), not with self.args
+        return type(self), (self.field, self.message), self.__dict__

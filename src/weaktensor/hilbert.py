@@ -49,6 +49,12 @@ ZERO_NORM_TOL = 1e-12
 #: largest one can be subnormal, so :func:`norm` rescales before squaring.
 _SMALL_NORM = 2.0**-480
 
+#: Entries per block of :func:`inner` and :func:`norm`. OpenBLAS sums a
+#: vector of at most 10,000 entries on the calling thread, so blocks of this
+#: size are summed in one order whatever its thread count, and no helper
+#: thread is woken.
+_BLOCK = 2**13
+
 PAULI_LETTERS = "IXYZ"
 
 
@@ -273,34 +279,58 @@ def tensor_product(a: Ket, b: Ket) -> Ket:
     return Ket(dims, freeze(np.kron(a.amps, b.amps)))
 
 
+def _block_sum(kernel, *arrays: np.ndarray):
+    """``kernel`` of consecutive :data:`_BLOCK`-entry slices of the flat
+    ``arrays``, added in order: one ``kernel`` call on arrays of at most
+    :data:`_BLOCK` entries."""
+    total = kernel(*(a[:_BLOCK] for a in arrays))
+    for start in range(_BLOCK, arrays[0].size, _BLOCK):
+        total += kernel(*(a[start : start + _BLOCK] for a in arrays))
+    return total
+
+
+def _sum_of_squares(amps: np.ndarray):
+    # np.linalg.norm's own sum for a complex vector
+    re, im = amps.real, amps.imag
+    return re.dot(re) + im.dot(im)
+
+
 def inner(bra: Ket, ket: Ket) -> complex:
-    """Inner product <bra|ket>, conjugate-linear in the first argument."""
+    """Inner product <bra|ket>, conjugate-linear in the first argument.
+
+    ``np.vdot`` of blocks of :data:`_BLOCK` entries, added in order on the
+    calling thread, so the bits do not depend on the BLAS thread count; up
+    to :data:`_BLOCK` entries it is ``np.vdot`` bit for bit.
+    """
     if bra.dims != ket.dims:
         raise ShapeMismatchError(f"shapes differ: {bra.dims} vs {ket.dims}")
-    return complex(np.vdot(bra.amps, ket.amps))
+    return complex(_block_sum(np.vdot, bra.amps, ket.amps))
 
 
 def norm(k: Ket) -> float:
     """Euclidean norm, finite whenever the true norm is and nonzero whenever
     an amplitude is.
 
-    When the sum of squares overflows (amplitudes above about 1e154) or the
-    norm is below :data:`_SMALL_NORM` (where squares that matter can
-    underflow and lose digits), the norm is taken again over amplitudes
-    scaled by an exact power of two that brings the largest magnitude into
-    [0.5, 1), then scaled back; binary scaling is exact, so only that path
-    changes. A ket's amplitudes never change, so each ket computes its norm
-    once and keeps it.
+    The sum of squares is ``np.linalg.norm``'s, ``re·re + im·im``, taken
+    over blocks of :data:`_BLOCK` entries and added in order, as by
+    :func:`inner`; up to :data:`_BLOCK` entries the norm is
+    ``np.linalg.norm`` bit for bit. When the sum overflows (amplitudes above
+    about 1e154) or the norm is below :data:`_SMALL_NORM` (where squares that
+    matter can underflow and lose digits), the norm is taken again over
+    amplitudes scaled by an exact power of two that brings the largest
+    magnitude into [0.5, 1), then scaled back; binary scaling is exact, so
+    only that path changes. A ket's amplitudes never change, so each ket
+    computes its norm once and keeps it.
     """
     n = k.__dict__.get("_norm")
     if n is None:
         with np.errstate(over="ignore", under="ignore"):
-            n = float(np.linalg.norm(k.amps))
+            n = math.sqrt(_block_sum(_sum_of_squares, k.amps))
             if not _SMALL_NORM <= n < math.inf:
                 parts = k.amps.view(np.float64)
                 _, exponent = np.frexp(np.abs(parts).max())
                 scaled = np.ldexp(parts, -exponent).view(np.complex128)
-                n = float(np.ldexp(np.linalg.norm(scaled), exponent))
+                n = float(np.ldexp(math.sqrt(_block_sum(_sum_of_squares, scaled)), exponent))
         object.__setattr__(k, "_norm", n)
     return n
 

@@ -119,7 +119,9 @@ def weak_tensor(pre: Ket, post: Ket) -> WeakValueTensor:
     """Tensor of weak values of the full projector products, one component
     per joint basis label."""
     overlap = selection_overlap(pre, post)
-    components = np.conj(post.amps) * pre.amps / overlap
+    components = np.conj(post.amps)
+    components *= pre.amps
+    components /= overlap
     return WeakValueTensor(pre.dims, freeze(components), "weak", overlap)
 
 
@@ -129,8 +131,9 @@ def expectation_tensor(state: Ket) -> WeakValueTensor:
     The state is normalized internally, so the components are the squared
     amplitude magnitudes.
     """
-    unit = normalize(state)
-    components = (np.abs(unit.amps) ** 2).astype(np.complex128)
+    components = np.abs(normalize(state).amps).astype(np.complex128)
+    squares = components.real
+    np.square(squares, out=squares)
     return WeakValueTensor(state.dims, freeze(components), "expectation", 1.0 + 0.0j)
 
 

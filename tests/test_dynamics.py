@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from weaktensor import (
+    DiagonalHamiltonian,
     HamiltonianTerm,
     Ket,
     MissingParamError,
+    NonFiniteAmplitudeError,
     ProjectorProduct,
     ShapeMismatchError,
     UnknownFamilyError,
@@ -23,6 +27,7 @@ from weaktensor import (
     flat_index,
     ghz_ket,
     joint_hamiltonian,
+    make_ket,
     norm,
     phase_report,
     product_form,
@@ -186,6 +191,72 @@ def test_evolve_periodicity_of_single_coupling():
         a = evolve(state, h, t)
         b = evolve(state, h, t + period)
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-10)
+
+
+def random_energies(rng, d: int, distinct: bool) -> np.ndarray:
+    """``d`` distinct energies, or seven levels shared by many states, with
+    -0.0 beside 0.0."""
+    if distinct:
+        return rng.standard_normal(d)
+    energies = rng.integers(-3, 4, d) * 0.37
+    energies[rng.random(d) < 0.2] = -0.0
+    return energies
+
+
+def per_state_evolution(state, h, t):
+    """The exponential of every basis state's own energy; ``None`` where an
+    amplitude is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = state.amps * np.exp(-1j * h.energies * t)
+    return amps if np.isfinite(amps).all() else None
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=5).map(tuple),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, 1.3, -2.7, -1e5, 1e308]) | st.floats(-1e3, 1e3),
+)
+def test_evolve_takes_the_per_state_exponential_bit_for_bit(dims, seed, distinct, t):
+    rng = np.random.default_rng(seed)
+    state = make_ket(dims, random_state(rng, dims))
+    h = DiagonalHamiltonian(dims, random_energies(rng, state.dim, distinct))
+    expected = per_state_evolution(state, h, t)
+    if expected is None:  # E * t overflowed
+        with pytest.raises(NonFiniteAmplitudeError, match="^amplitudes must be finite$"):
+            evolve(state, h, t)
+    else:
+        assert evolve(state, h, t).amps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_evolve_is_bit_for_bit_beyond_one_block(distinct):
+    # 2**16 amplitudes: numpy may now reuse a temporary array for the product
+    rng = np.random.default_rng(16)
+    dims = (2,) * 16
+    state = make_ket(dims, random_state(rng, dims))
+    h = DiagonalHamiltonian(dims, random_energies(rng, state.dim, distinct))
+    for t in (1.3, -0.7):
+        assert evolve(state, h, t).amps.tobytes() == per_state_evolution(state, h, t).tobytes()
+
+
+def test_a_hamiltonian_computes_its_spectrum_once(monkeypatch):
+    h = joint_hamiltonian("Hamm2", eps=0.9, eps2=0.4)
+    state = product_form("Hamm2", 0.0, eps=0.9, eps2=0.4)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    evolve(state, h, 1.0)
+    evolve(state, h, 2.0)
+    assert len(calls) == 1
+    levels, index = h.spectrum
+    assert levels.size == 3 and levels[index].tobytes() == h.energies.tobytes()
+    evolve(state, DiagonalHamiltonian(h.dims, h.energies), 1.0)  # a new one computes its own
+    assert len(calls) == 2
+    signed = DiagonalHamiltonian((2, 2), [0.0, -0.0, 0.37, 0.0])
+    levels, index = signed.spectrum  # levels are told apart by their bits
+    assert levels.size == 3 and levels[index].tobytes() == signed.energies.tobytes()
 
 
 # ---------------------------------------------------------------- epr pair

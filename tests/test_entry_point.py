@@ -74,8 +74,10 @@ def test_importing_the_package_loads_no_numpy_and_keeps_every_name():
     assert set(PUBLIC_NAMES) <= set(listed)
 
 
-def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
-    # from 2**14 on, OpenBLAS sums vdot and norm in an order set by its thread count
+@pytest.fixture
+def tensor_argv(tmp_path):
+    """``-m weaktensor tensor --format json`` on a seeded 2**14 pair, where
+    one BLAS call would be summed in an order set by its thread count."""
     rng = np.random.default_rng(14)
     pre = rng.normal(size=(2**14, 2))
     states = {"pre": pre, "post": pre + rng.normal(size=pre.shape)}
@@ -84,7 +86,40 @@ def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"shape": [2] * 14, "amps": amps.tolist()}))
         argv += [f"--{name}", str(path)]
-    assert _python(argv, OPENBLAS_NUM_THREADS=None) == _python(argv, OPENBLAS_NUM_THREADS="1")
+    return argv
+
+
+def test_cli_bytes_do_not_depend_on_the_callers_blas_threads(tensor_argv):
+    assert _python(tensor_argv, OPENBLAS_NUM_THREADS=None) == _python(
+        tensor_argv, OPENBLAS_NUM_THREADS="1"
+    )
+
+
+def test_cli_bytes_are_the_same_for_one_and_two_blas_threads(tensor_argv):
+    assert _python(tensor_argv, OPENBLAS_NUM_THREADS="1") == _python(
+        tensor_argv, OPENBLAS_NUM_THREADS="2"
+    )
+
+
+#: writes the bytes of every library reduction on a seeded 2**16 pair
+LIBRARY_PROBE = """
+import sys
+import numpy as np
+import weaktensor as wt
+rng = np.random.default_rng(16)
+pre = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+a, b = (wt.make_ket((2,) * 16, x) for x in (pre, pre + rng.normal(size=2**16)))
+report = wt.compare_states(a, b)
+values = [wt.inner(b, a), wt.norm(a), wt.norm(b), report.fidelity, report.max_component_diff]
+weak, expectation = wt.weak_tensor(a, b), wt.expectation_tensor(a)
+for array in (np.array(values), weak.components, expectation.components):
+    sys.stdout.buffer.write(array.tobytes())
+"""
+
+
+def test_library_bits_are_the_same_for_one_and_two_blas_threads():
+    one, two = (_python(["-c", LIBRARY_PROBE], OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert len(one) == 16 * (5 + 2 * 2**16) and one == two
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")

@@ -2,11 +2,13 @@
 checks that used to raise a bare ValueError still are ValueErrors."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import weaktensor
+from weaktensor import errors
 from weaktensor import (
     DiagonalHamiltonian,
     InvalidCountError,
@@ -178,3 +180,23 @@ def test_a_bool_or_numpy_count_is_an_integer():
     assert marginalize(t, True) == marginalize(t, 1)
     assert cell_to_basis(np.int64(5), np.int64(2), 3) == (1, 0, 1)
     assert ghz_ket(np.int64(3), 2).dims == (2, 2, 2)
+
+
+#: every domain error class, with the arguments its constructor takes
+DOMAIN_ERRORS = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, WeakTensorError)
+]
+ARGUMENTS = {
+    errors.ParseError: ("invalid JSON: Expecting value", 3, 7),
+    errors.SchemaViolationError: ("amps[2]", "amplitude must be finite"),
+}
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_domain_error_survives_pickling(error):
+    # a process pool pickles a worker's exception to raise it in the caller
+    original = error(*ARGUMENTS.get(error, ("shape (2, 2) is not (2, 3)",)))
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is error and str(copy) == str(original)
+    for attribute in ("field", "message", "lineno", "colno"):
+        assert getattr(copy, attribute, None) == getattr(original, attribute, None)

@@ -1,8 +1,11 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weaktensor import (
     DimensionOverflowError,
@@ -219,6 +222,75 @@ def test_norm_ordinary_path_is_numpy_bit_for_bit():
     for dims in [(2,), (3, 2), (2, 2, 5)]:
         amps = random_state(rng, dims) * 10.0 ** rng.integers(-150, 150)
         assert norm(make_ket(dims, amps)) == float(np.linalg.norm(amps))
+
+
+# ------------------------------------------------- blocked inner and norm
+
+#: shapes of at most 2**13 entries, the one block in which inner and norm
+#: make numpy's own single call: one axis of any size, or several of 2-5 levels
+ONE_BLOCK_SHAPES = st.integers(2, 2**13).map(lambda n: (n,)) | st.lists(
+    st.integers(2, 5), min_size=2, max_size=5
+).map(tuple)
+
+EPS = np.finfo(np.float64).eps
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def signed_zeros(rng, amps):
+    """``amps`` with about half of its real and imaginary parts set to +0.0
+    or -0.0."""
+    parts = amps.view(np.float64)
+    zero = rng.random(parts.size) < 0.5
+    parts[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    return amps
+
+
+@settings(max_examples=80)
+@given(ONE_BLOCK_SHAPES, st.integers(0, 2**32 - 1), st.integers(-400, 400), st.booleans())
+@example((2**13,), 0, 0, False)
+@example((2,), 1, 0, True)
+def test_one_block_is_numpy_bit_for_bit(dims, seed, exponent, zeros):
+    rng = np.random.default_rng(seed)
+    a, b = (random_state(rng, dims) * 2.0**exponent for _ in range(2))
+    if zeros:
+        a, b = signed_zeros(rng, a), signed_zeros(rng, b)
+    ka, kb = make_ket(dims, a), make_ket(dims, b)
+    assert bits(complex(inner(ka, kb))) == bits(np.vdot(a, b))
+    assert bits(norm(ka)) == bits(np.linalg.norm(a))
+
+
+def test_an_overflowing_overlap_stays_numpys_nan():
+    # the 8-entry pair of test_json_writers.test_extreme_and_integral_floats:
+    # +-1.8e308 products overflow, and vdot's NaN is what its scenario keeps
+    values = [
+        complex(0.0, -0.0), complex(-0.0, 0.0), complex(5e-324, -5e-324),
+        complex(1.7976931348623157e308, -1.7976931348623157e308), complex(1.0, -2.0),
+        complex(1e16, 123456789.0), complex(-3.0, 1e22), complex(0.1, 1e-7),
+    ]
+    pre, post = make_ket((8,), values), make_ket((8,), values[::-1])
+    overlap = inner(post, pre)
+    assert cmath.isnan(overlap)
+    assert bits(overlap) == bits(np.vdot(post.amps, pre.amps))
+
+
+@pytest.mark.parametrize("n", [2**13 + 1, 2**16])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_blocked_sums_agree_with_an_extended_precision_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_state(rng, (n,)), random_state(rng, (n,))
+    wide_a, wide_b = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    exact = np.sum(np.conj(wide_a) * wide_b)
+    assert abs(inner(make_ket((n,), a), make_ket((n,), b)) - exact) <= 4 * EPS * np.sum(
+        np.abs(a) * np.abs(b)
+    )
+    # a sum of positive squares: a single 8192-entry dot, np.linalg.norm's
+    # own, was seen up to 7.8 eps off, so the bound here is 16 eps
+    squares = np.sum(wide_a.real**2 + wide_a.imag**2)
+    assert abs(np.longdouble(norm(make_ket((n,), a))) ** 2 - squares) <= 16 * EPS * squares
 
 
 def test_normalize():
