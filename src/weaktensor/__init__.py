@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "DimensionOverflowError", "DuplicateSubsystemError", "InvalidCountError",
-        "LabelMismatchError", "LengthMismatchError", "LevelOutOfRangeError", "MissingParamError",
+        "LengthMismatchError", "LevelOutOfRangeError", "MissingParamError",
         "NonFiniteAmplitudeError", "NonFiniteEnergyError", "NonNumericAmplitudeError",
-        "NonQubitShapeError", "NonUniformShapeError", "OrthogonalSelectionError",
-        "OutOfRangeError", "ParseError", "SchemaViolationError", "ShapeMismatchError",
-        "SubsystemOutOfRangeError", "UnknownFamilyError", "UnknownNameError",
-        "UnsupportedRankError", "WeakTensorError", "WrongScenarioError", "ZeroVectorError",
+        "OrthogonalSelectionError", "OutOfRangeError", "ParseError", "SchemaViolationError",
+        "ShapeMismatchError", "SubsystemOutOfRangeError", "UnknownNameError",
+        "UnsupportedRankError", "WeakTensorError", "ZeroVectorError",
     ),
     "hilbert": (
         "MAX_DIMENSION", "Ket", "ProjectorProduct", "apply_pauli_string",

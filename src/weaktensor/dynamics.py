@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     MissingParamError,
     ShapeMismatchError,
-    UnknownFamilyError,
     UnknownNameError,
     WeakTensorError,
     ZeroVectorError,
@@ -201,7 +200,7 @@ def _hamiltonian(dims: Sequence[int], terms: Iterable[tuple[float, ProjectorProd
 
 def _family(name: str, params: dict) -> tuple[Family, dict]:
     if name not in FAMILIES:
-        raise UnknownFamilyError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+        raise UnknownNameError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
     family = FAMILIES[name]
     for param in family.params:
         if params.get(param) is None:

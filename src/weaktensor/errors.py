@@ -10,7 +10,8 @@ class WeakTensorError(Exception):
 
 
 class LengthMismatchError(WeakTensorError, ValueError):
-    """An amplitude or letter sequence has the wrong length."""
+    """An amplitude, letter or label sequence has the wrong length: a Pauli string
+    or a basis label for its shape, or axis label lists for a tensor's shape."""
 
 
 class NonFiniteAmplitudeError(WeakTensorError):
@@ -32,15 +33,13 @@ class DimensionOverflowError(WeakTensorError):
 
 
 class ShapeMismatchError(WeakTensorError):
-    """Two objects that must share a subsystem shape do not."""
+    """A shape a call cannot take: invalid local dimensions, two objects that must
+    share a subsystem shape but do not, a qubit-only operation (a Pauli string or a
+    stabilizer check) on a non-qubit shape, or a diagonal of unequal dimensions."""
 
 
 class ZeroVectorError(WeakTensorError):
     """A (near-)zero vector was given where a nonzero state is required."""
-
-
-class SubsystemOutOfRangeError(WeakTensorError):
-    """A subsystem index does not exist for the given shape."""
 
 
 class DuplicateSubsystemError(WeakTensorError):
@@ -48,15 +47,16 @@ class DuplicateSubsystemError(WeakTensorError):
 
 
 class OutOfRangeError(WeakTensorError):
-    """A cell index or digit is outside its valid range."""
+    """A cell index, digit or grid count is outside its valid range; the two
+    subclasses below are a subsystem index and a basis level."""
+
+
+class SubsystemOutOfRangeError(OutOfRangeError):
+    """A subsystem index does not exist for the given shape."""
 
 
 class LevelOutOfRangeError(OutOfRangeError):
     """A basis level is not valid for its subsystem dimension."""
-
-
-class NonQubitShapeError(WeakTensorError):
-    """A qubit-only operation was applied to a non-qubit shape."""
 
 
 class OrthogonalSelectionError(WeakTensorError):
@@ -68,28 +68,14 @@ class InvalidCountError(WeakTensorError, ValueError):
     """A party or level count is below the supported minimum."""
 
 
-class WrongScenarioError(WeakTensorError):
-    """A scenario transformation was applied to a scenario it does not fit."""
-
-
-class LabelMismatchError(WeakTensorError):
-    """Axis label lists do not match the subsystem shape."""
-
-
-class UnknownFamilyError(WeakTensorError):
-    """Unknown product-form family name."""
-
-
 class UnknownNameError(WeakTensorError, ValueError):
-    """Unknown Bell kind, scenario name, output format or Pauli letter."""
+    """Unknown Bell kind, scenario name, output format, Pauli letter, product-form
+    family or family parameter, or a scenario transformation given a scenario it
+    does not fit (the hardy relabeling on another scenario)."""
 
 
 class MissingParamError(WeakTensorError):
     """A required named parameter was not supplied."""
-
-
-class NonUniformShapeError(WeakTensorError):
-    """An operation requiring equal local dimensions got a mixed shape."""
 
 
 class UnsupportedRankError(WeakTensorError):

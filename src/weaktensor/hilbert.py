@@ -24,13 +24,11 @@ import numpy as np
 from .errors import (
     DimensionOverflowError,
     DuplicateSubsystemError,
-    LabelMismatchError,
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteAmplitudeError,
     NonFiniteEnergyError,
     NonNumericAmplitudeError,
-    NonQubitShapeError,
     OutOfRangeError,
     ShapeMismatchError,
     SubsystemOutOfRangeError,
@@ -94,7 +92,7 @@ def check_labels(
         return tuple(tuple(map(str, range(d))) for d in dims)
     out = tuple(tuple(str(l) for l in axis) for axis in labels)
     if len(out) != len(dims) or any(len(axis) != d for axis, d in zip(out, dims)):
-        raise LabelMismatchError(f"labels {out} do not match shape {tuple(dims)}")
+        raise LengthMismatchError(f"labels {out} do not match shape {tuple(dims)}")
     return out
 
 
@@ -403,7 +401,7 @@ def apply_pauli_string(letters: str, k: Ket) -> Ket:
     sign of level 1, and ``I`` leaves the factor untouched.
     """
     if any(d != 2 for d in k.dims):
-        raise NonQubitShapeError(f"Pauli strings require qubits, got shape {k.dims}")
+        raise ShapeMismatchError(f"Pauli strings require qubits, got shape {k.dims}")
     if len(letters) != len(k.dims):
         raise LengthMismatchError(
             f"string of length {len(letters)} does not match {len(k.dims)} qubits"

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonQubitShapeError, NonUniformShapeError, OutOfRangeError
+from .errors import OutOfRangeError, ShapeMismatchError
 from .hilbert import (
     Ket, _integers, apply_pauli_string, basis_label, flat_index, freeze, inner, norm, normalize
 )
@@ -47,7 +47,7 @@ def diagonal_cells(dims: Sequence[int]) -> list[tuple[int, ...]]:
     """Labels ``(i, i, ..., i)`` of a uniform shape."""
     dims = tuple(dims)
     if len(set(dims)) != 1:
-        raise NonUniformShapeError(f"diagonal requires equal dimensions, got {dims}")
+        raise ShapeMismatchError(f"diagonal requires equal dimensions, got {dims}")
     n = len(dims)
     return [(i,) * n for i in range(dims[0])]
 
@@ -71,7 +71,7 @@ def stabilizer_eigenvalue(state: Ket, letters: str) -> float | None:
     -1 on real-amplitude states).
     """
     if any(d != 2 for d in state.dims):
-        raise NonQubitShapeError(f"stabilizer check requires qubits, got shape {state.dims}")
+        raise ShapeMismatchError(f"stabilizer check requires qubits, got shape {state.dims}")
     unit = normalize(state)
     applied = apply_pauli_string(letters, unit)
     lam = inner(unit, applied)

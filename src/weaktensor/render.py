@@ -203,9 +203,15 @@ _CAPTION_H = 26
 #: Cell fill by the sign of the real part: 1, -1, or 0 within SIGN_TOL (or NaN)
 _FILLS = ("#efefef", "#aecbe8", "#f2b8a0")
 
+#: What SVG text writes for a character: the entity of "&", "<" and ">", and the
+#: Python escape of each character XML 1.0 cannot hold (C0 controls but tab, LF
+#: and CR; U+FFFE and U+FFFF). The encoder escapes lone surrogates.
+_SVG_ESCAPES = {c: repr(chr(c))[1:-1] for c in {*range(32), 0xFFFE, 0xFFFF} - {9, 10, 13}}
+_SVG_ESCAPES.update(str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"}))
+
 
 def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14) -> str:
-    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    escaped = text.translate(_SVG_ESCAPES)
     return (
         f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
         f'font-family="monospace" font-size="{size}">{escaped}</text>'
@@ -219,7 +225,8 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     values, the imaginary part appended where it exceeds
     :data:`IMAG_WARN_TOL`; rank-3 tensors are drawn as captioned slices
     along axis 0 with the cube diagonal cells outlined. Output is
-    deterministic byte-for-byte.
+    deterministic byte-for-byte and well-formed XML: a character XML 1.0
+    or UTF-8 cannot hold is written as its backslash escape.
     """
     check_rank("SVG", t.rank)
     labels = check_labels(labels, t.dims)
@@ -266,4 +273,4 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
         *body,
         "</svg>",
     ]
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return ("\n".join(parts) + "\n").encode("utf-8", "backslashreplace")

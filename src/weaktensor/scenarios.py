@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidCountError, MissingParamError, UnknownNameError, WrongScenarioError
+from .errors import InvalidCountError, MissingParamError, UnknownNameError
 from .hilbert import (
     MAX_DIMENSION, Ket, _integers, _reals, check_dims, check_labels, freeze, make_ket
 )
@@ -142,7 +142,7 @@ def hardy_overlap_labels(s: Scenario) -> Scenario:
     and the transformation is idempotent.
     """
     if s.name not in ("hardy", "hardy-overlap"):
-        raise WrongScenarioError(f"expected the hardy scenario, got {s.name!r}")
+        raise UnknownNameError(f"expected the hardy scenario, got {s.name!r}")
     return Scenario("hardy-overlap", s.pre, s.post, _HARDY_OVERLAP_LABELS)
 
 

@@ -149,12 +149,13 @@ def _document_text(doc: SchemeDocument) -> str:
 def render_document(doc: SchemeDocument, fmt: str) -> bytes:
     """Render a document as json, text, or svg bytes.
 
-    The text form is the CLI's text document for any rank.
+    The text form is the CLI's text document for any rank; text and SVG write a
+    character UTF-8 cannot encode (a lone surrogate) as its backslash escape.
     """
     if fmt == "json":
         return document_to_json(doc).encode("utf-8")
     if fmt == "text":
-        return _document_text(doc).encode("utf-8")
+        return _document_text(doc).encode("utf-8", "backslashreplace")
     if fmt == "svg":
         return render_svg(doc.to_tensor(), doc.labels)
     raise UnknownNameError(f"unknown format {fmt!r}; expected json, text, or svg")

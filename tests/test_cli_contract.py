@@ -6,7 +6,9 @@ subcommand, with named regression tests for the faults it has found."""
 
 import io
 import json
+import os
 import re
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -38,10 +40,12 @@ def call(argv):
 
 
 def check_contract(argv):
-    code, _, err = call(argv)
+    code, out, err = call(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         assert err == "", argv
+        if out.startswith(b"<?xml"):  # an SVG on stdout is well-formed XML
+            ET.fromstring(out)
     elif code == 1:
         assert ERROR_LINE.fullmatch(err), (argv, err)
 
@@ -112,6 +116,36 @@ def test_amplitudes_beyond_1e150_keep_their_weak_values(tmp_path):
     assert (code, err) == (0, "")
     components = json.loads(out)["components"]
     assert components == pytest.approx([[10 / 11, 0.0], [1 / 11, 0.0]])
+
+
+def bell_file(path, labels):
+    path.write_text(json.dumps({"shape": [2, 2], "labels": labels,
+                                "pre": {"amps": [[1, 0], [0, 0], [0, 0], [1, 0]]}}))
+    return path
+
+
+def test_a_label_utf8_cannot_encode_is_written_as_an_escape(tmp_path):
+    path = bell_file(tmp_path / "f.json", [["\ud800", "b"], ["c", "d"]])
+    code, out, err = call(["run", path, "--format", "text"])
+    assert (code, err) == (0, "")
+    assert "axis 0 marginals: \\ud800=+0.5000  b=+0.5000\n" in out.decode("utf-8")
+    code, out, err = call(["run", path, "--format", "svg"])
+    assert (code, err) == (0, "")
+    assert ET.fromstring(out).findall(".//{*}text")[2].text == "\\ud800"
+
+
+def test_a_file_name_utf8_cannot_encode_is_written_as_an_escape(tmp_path):
+    path = bell_file(tmp_path / os.fsdecode(b"\xff.json"), [["a", "b"], ["c", "d"]])
+    code, out, err = call(["run", path, "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out.decode("utf-8").startswith("scenario: \\udcff\n")
+
+
+def test_a_label_xml_cannot_hold_keeps_the_svg_well_formed(tmp_path):
+    path = bell_file(tmp_path / "f.json", [["a\u0001", "b"], ["c", "d"]])
+    code, out, err = call(["run", path, "--format", "svg"])
+    assert (code, err) == (0, "")
+    assert ET.fromstring(out).findall(".//{*}text")[2].text == "a\\x01"
 
 
 # ---------------------------------------------------------------- the fuzz
@@ -197,6 +231,9 @@ def scenario_documents(draw):
         doc["post"] = draw(JUNK) if draw(one_in(10)) else {"amps": draw(amps_for(shape))}
     if draw(st.booleans()) and isinstance(shape, list):
         good = [[str(level) + "'" for level in range(d)] for d in shape if isinstance(d, int)]
+        if draw(one_in(4)):  # surrogates and control characters too
+            good = [[draw(st.text(st.characters(exclude_categories=()), max_size=2))
+                     for _ in axis] for axis in good]
         doc["labels"] = draw(st.one_of(JUNK, st.lists(st.lists(st.text(max_size=2), max_size=3),
                                                       max_size=3))) if draw(one_in(4)) else good
     return doc

@@ -16,7 +16,7 @@ from weaktensor import (
     NonFiniteAmplitudeError,
     ProjectorProduct,
     ShapeMismatchError,
-    UnknownFamilyError,
+    UnknownNameError,
     ZeroVectorError,
     build_hamiltonian,
     compare_states,
@@ -344,7 +344,7 @@ def test_psighz11_with_zero_eps_leaves_cube2_unphased():
 
 def test_product_form_errors():
     for route in (lambda name, **params: product_form(name, 1.0, **params), joint_hamiltonian):
-        with pytest.raises(UnknownFamilyError):
+        with pytest.raises(UnknownNameError):
             route("psit9", eps=1.0)
         with pytest.raises(MissingParamError):
             route("psit1")

@@ -13,10 +13,12 @@ from weaktensor import (
     DiagonalHamiltonian,
     InvalidCountError,
     Ket,
+    LengthMismatchError,
     NonFiniteAmplitudeError,
     NonFiniteEnergyError,
     NonNumericAmplitudeError,
     OutOfRangeError,
+    ProjectorProduct,
     ShapeMismatchError,
     SubsystemOutOfRangeError,
     UnknownNameError,
@@ -28,18 +30,22 @@ from weaktensor import (
     build_named,
     cell_to_basis,
     cheshire,
+    diagonal_cells,
     epr_pair,
     evolve,
     ghz_ket,
     hardy,
     hardy_gamma,
+    hardy_overlap_labels,
     joint_hamiltonian,
     make_ket,
     marginalize,
     phase_report,
     product_form,
     render_document,
+    render_grid,
     scheme_document,
+    stabilizer_eigenvalue,
     tensor_product,
 )
 
@@ -49,6 +55,16 @@ def test_new_error_types_are_domain_and_value_errors():
     for error in (UnknownNameError, InvalidCountError):
         assert issubclass(error, WeakTensorError)
         assert issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["LabelMismatchError", "NonQubitShapeError", "NonUniformShapeError", "UnknownFamilyError",
+     "WrongScenarioError"],
+)
+def test_a_folded_error_class_has_no_alias(name):
+    # each was folded into the class its sibling checks raise
+    assert not hasattr(weaktensor, name) and not hasattr(errors, name)
 
 
 @pytest.mark.parametrize(
@@ -78,8 +94,26 @@ def test_unknown_names_keep_their_messages(call, message):
         (lambda: phase_report(epr_pair(), basis_state((2, 2, 2), (0, 0, 0))), ShapeMismatchError,
          "shapes differ: (2, 2) vs (2, 2, 2)"),
         (lambda: cell_to_basis(0, 2, 0), OutOfRangeError, "axes must be >= 1, got 0"),
+        # each rule below has one class, shared with its sibling checks
+        (lambda: product_form("warp", 1.0, eps=1.0), UnknownNameError,
+         "unknown family 'warp'; expected one of ('psit1', 'E111', 'Hamm2', 'GHZ2', 'PsiGHZ11')"),
+        (lambda: hardy_overlap_labels(cheshire()), UnknownNameError,
+         "expected the hardy scenario, got 'cheshire'"),
+        (lambda: apply_pauli_string("X", make_ket((3,), [1, 0, 0])), ShapeMismatchError,
+         "Pauli strings require qubits, got shape (3,)"),
+        (lambda: stabilizer_eigenvalue(make_ket((3,), [1, 0, 0]), "X"), ShapeMismatchError,
+         "stabilizer check requires qubits, got shape (3,)"),
+        (lambda: diagonal_cells((2, 3)), ShapeMismatchError,
+         "diagonal requires equal dimensions, got (2, 3)"),
+        (lambda: render_grid(cheshire().tensor(), [["a", "b"]]), LengthMismatchError,
+         "labels (('a', 'b'),) do not match shape (2, 2)"),
+        (lambda: marginalize(cheshire().tensor(), 5), OutOfRangeError,
+         "axis 5 not in a rank-2 tensor"),
+        (lambda: ProjectorProduct(((3, 0),)).index((2, 2)), OutOfRangeError,
+         "subsystem 3 not in shape (2, 2)"),
     ],
-    ids=["energies", "phase-report", "no-axes"],
+    ids=["energies", "phase-report", "no-axes", "family", "hardy-overlap", "pauli-qutrit",
+         "stabilizer-qutrit", "diagonal", "grid-labels", "marginal-axis", "projector-subsystem"],
 )
 def test_a_size_refusal_states_what_it_expected(call, error, message):
     with pytest.raises(error) as info:

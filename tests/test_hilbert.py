@@ -14,7 +14,6 @@ from weaktensor import (
     LengthMismatchError,
     LevelOutOfRangeError,
     NonFiniteAmplitudeError,
-    NonQubitShapeError,
     OutOfRangeError,
     ProjectorProduct,
     ShapeMismatchError,
@@ -415,7 +414,7 @@ def test_pauli_string_matches_dense_oracle(letters):
 
 
 def test_pauli_string_errors():
-    with pytest.raises(NonQubitShapeError):
+    with pytest.raises(ShapeMismatchError):
         apply_pauli_string("X", make_ket((3,), [1, 0, 0]))
     with pytest.raises(LengthMismatchError):
         apply_pauli_string("XX", make_ket((2,), [1, 0]))

@@ -6,9 +6,8 @@ import pytest
 
 from weaktensor import (
     Ket,
-    NonQubitShapeError,
-    NonUniformShapeError,
     OutOfRangeError,
+    ShapeMismatchError,
     basis_state,
     basis_to_cell,
     cell_to_basis,
@@ -71,7 +70,7 @@ def test_diagonal_cells_square():
 
 
 def test_diagonal_cells_non_uniform():
-    with pytest.raises(NonUniformShapeError):
+    with pytest.raises(ShapeMismatchError):
         diagonal_cells((2, 3))
 
 
@@ -99,7 +98,7 @@ def test_single_diagonal_cell_state():
 
 
 def test_is_diagonal_supported_non_uniform():
-    with pytest.raises(NonUniformShapeError):
+    with pytest.raises(ShapeMismatchError):
         is_diagonal_supported(make_ket((2, 3), [1, 0, 0, 0, 0, 0]))
 
 
@@ -136,5 +135,5 @@ def test_zz_eigenvalue_of_basis_state():
 
 
 def test_stabilizer_rejects_non_qubits():
-    with pytest.raises(NonQubitShapeError):
+    with pytest.raises(ShapeMismatchError):
         stabilizer_eigenvalue(make_ket((3,), [1, 0, 0]), "X")

@@ -5,7 +5,7 @@ import pytest
 
 from weaktensor import (
     Ket,
-    LabelMismatchError,
+    LengthMismatchError,
     UnsupportedRankError,
     WeakValueTensor,
     build_named,
@@ -172,7 +172,7 @@ def test_a_renderer_refuses_a_rank_it_cannot_draw(render, tensor, message):
 
 def test_render_label_mismatch():
     tensor, _ = named_tensor("cheshire")
-    with pytest.raises(LabelMismatchError):
+    with pytest.raises(LengthMismatchError):
         render_grid(tensor, [["a", "b", "c"], ["L", "R"]])
 
 
@@ -226,8 +226,8 @@ def test_fmt_reals_is_fmt_real_of_every_element():
 def test_renderers_and_scenarios_reject_labels_with_one_message():
     s = build_named("cheshire")
     message = "labels (('a', 'b'),) do not match shape (2, 2)"
-    with pytest.raises(LabelMismatchError) as from_render:
+    with pytest.raises(LengthMismatchError) as from_render:
         render_grid(s.tensor(), [["a", "b"]])
-    with pytest.raises(LabelMismatchError) as from_scenario:
+    with pytest.raises(LengthMismatchError) as from_scenario:
         custom(s.pre, s.post, [["a", "b"]])
     assert str(from_render.value) == str(from_scenario.value) == message

@@ -5,12 +5,12 @@ import pytest
 
 from weaktensor import (
     InvalidCountError,
-    LabelMismatchError,
     Ket,
+    LengthMismatchError,
     MissingParamError,
     OrthogonalSelectionError,
     ShapeMismatchError,
-    WrongScenarioError,
+    UnknownNameError,
     bell,
     build_named,
     cheshire,
@@ -161,7 +161,7 @@ def test_hardy_overlap_components_unchanged():
 
 
 def test_hardy_overlap_wrong_scenario():
-    with pytest.raises(WrongScenarioError):
+    with pytest.raises(UnknownNameError):
         hardy_overlap_labels(cheshire())
 
 
@@ -225,9 +225,9 @@ def test_custom_trivial():
 
 
 def test_custom_label_mismatch():
-    with pytest.raises(LabelMismatchError):
+    with pytest.raises(LengthMismatchError):
         custom(make_ket((2,), [1, 0]), labels=[["a", "b", "c"]])
-    with pytest.raises(LabelMismatchError):
+    with pytest.raises(LengthMismatchError):
         custom(make_ket((2, 2), [1, 0, 0, 0]), labels=[["a", "b"]])
 
 
