@@ -34,10 +34,13 @@ from .errors import (
     ZeroVectorError,
 )
 from .hilbert import (
+    _BLOCK,
     ZERO_NORM_TOL,
     Ket,
     ProjectorProduct,
+    _blocks,
     _reals,
+    _scaled,
     basis_label,
     basis_labels,
     check_dims,
@@ -88,8 +91,9 @@ class DiagonalHamiltonian:
         energies, told apart by their bits (so ``-0.0`` is its own level), and
         each basis state's position in ``levels``, so that
         ``levels[index]`` is ``energies`` bit for bit."""
-        levels, index = np.unique(self.energies.view(np.int64), return_inverse=True)
-        return freeze(levels.view(np.float64)), freeze(index)
+        bits = self.energies.view(np.int64)
+        levels = np.unique(bits)
+        return freeze(levels.view(np.float64)), freeze(levels.searchsorted(bits))
 
 
 def build_hamiltonian(dims: Sequence[int], terms: Iterable[HamiltonianTerm]) -> DiagonalHamiltonian:
@@ -267,13 +271,15 @@ class ComparisonReport:
     max_component_diff: float
 
 
-def _gauge_fixed(k: Ket, n: float) -> np.ndarray:
-    # unit norm (``n`` is norm(k)), global phase fixed so the
-    # largest-magnitude amplitude is real and positive
-    u = k.amps / n
-    anchor = u[int(np.argmax(np.abs(u)))]
-    u *= np.conj(anchor) / abs(anchor)
-    return u
+def _gauge(k: Ket, n: float, buf: np.ndarray, mags: np.ndarray) -> complex:
+    # the phase making k.amps / n's first largest entry real and positive (blocks in buf)
+    best, w = -1.0, 0
+    for s in _blocks(k.amps.size):
+        j = int(np.abs(_scaled(k.amps[s], n, buf), out=mags[: k.amps[s].size]).argmax())
+        if mags[j] > best:  # strict, so the first of equal maxima wins, as with np.argmax
+            best, w = mags[j], s.start + j
+    anchor = (k.amps[w : w + 1] / n)[0]
+    return np.conj(anchor) / abs(anchor)
 
 
 def compare_states(a: Ket, b: Ket) -> ComparisonReport:
@@ -289,9 +295,14 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         raise ZeroVectorError("cannot compare (near-)zero states")
     fidelity = abs(overlap) ** 2 / (na**2 * nb**2)
-    diff = _gauge_fixed(a, na)
-    diff -= _gauge_fixed(b, nb)
-    return ComparisonReport(fidelity=float(fidelity), max_component_diff=float(np.abs(diff).max()))
+    ua, ub = np.empty((2, min(a.amps.size, _BLOCK)), np.complex128)
+    pa, pb = _gauge(a, na, ua, ub.view(np.float64)), _gauge(b, nb, ub, ua.view(np.float64))
+    diff = 0.0
+    for s in _blocks(a.amps.size):
+        x, y = _scaled(a.amps[s], na, ua), _scaled(b.amps[s], nb, ub)
+        np.subtract(np.multiply(x, pa, out=x), np.multiply(y, pb, out=y), out=x)
+        diff = max(diff, np.abs(x, out=ub.view(np.float64)[: x.size]).max())
+    return ComparisonReport(fidelity=float(fidelity), max_component_diff=float(diff))
 
 
 class PhaseReport(Mapping):

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -277,14 +278,25 @@ def tensor_product(a: Ket, b: Ket) -> Ket:
     return Ket(dims, freeze(np.kron(a.amps, b.amps)))
 
 
+def _blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of :data:`_BLOCK` entries covering ``range(size)``."""
+    return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
+
+
 def _block_sum(kernel, *arrays: np.ndarray):
-    """``kernel`` of consecutive :data:`_BLOCK`-entry slices of the flat
-    ``arrays``, added in order: one ``kernel`` call on arrays of at most
-    :data:`_BLOCK` entries."""
-    total = kernel(*(a[:_BLOCK] for a in arrays))
-    for start in range(_BLOCK, arrays[0].size, _BLOCK):
-        total += kernel(*(a[start : start + _BLOCK] for a in arrays))
-    return total
+    """``kernel`` of the :func:`_blocks` of the flat ``arrays``, added in
+    order: one ``kernel`` call on arrays of at most :data:`_BLOCK` entries."""
+    parts = (kernel(*(a[s] for a in arrays)) for s in _blocks(arrays[0].size))
+    return functools.reduce(operator.iadd, parts)
+
+
+def _scaled(amps: np.ndarray, n: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``amps / n`` for a real ``n`` as the float64 parts (any stride, through a length-1
+    last axis) times ``1.0 / n``, into the head of ``out`` when given: numpy's complex
+    division by ``n`` differs only in the sign of a zero part, so use it under ``abs()``."""
+    out = np.empty_like(amps) if out is None else out[: amps.size]
+    np.multiply(amps[:, None].view(np.float64), 1.0 / n, out=out[:, None].view(np.float64))
+    return out
 
 
 def _sum_of_squares(amps: np.ndarray):
@@ -325,20 +337,26 @@ def norm(k: Ket) -> float:
         with np.errstate(over="ignore", under="ignore"):
             n = math.sqrt(_block_sum(_sum_of_squares, k.amps))
             if not _SMALL_NORM <= n < math.inf:
-                parts = k.amps.view(np.float64)
+                parts = k.amps[:, None].view(np.float64)  # any stride, as in _scaled
                 _, exponent = np.frexp(np.abs(parts).max())
-                scaled = np.ldexp(parts, -exponent).view(np.complex128)
+                scaled = np.ldexp(parts, -exponent).view(np.complex128)[:, 0]
                 n = float(np.ldexp(math.sqrt(_block_sum(_sum_of_squares, scaled)), exponent))
         object.__setattr__(k, "_norm", n)
     return n
 
 
-def normalize(k: Ket) -> Ket:
-    """Scale to unit norm; raises on (near-)zero input."""
+def _nonzero_norm(k: Ket) -> float:
+    """:func:`norm`, raising :class:`ZeroVectorError` at or below :data:`ZERO_NORM_TOL`."""
     n = norm(k)
     if n <= ZERO_NORM_TOL:
         raise ZeroVectorError(f"cannot normalize a vector of norm {n}")
-    return Ket(k.dims, freeze(k.amps / n))
+    return n
+
+
+def normalize(k: Ket) -> Ket:
+    """Scale to unit norm; raises on (near-)zero input."""
+    # the division, not _scaled: numpy's (-0.0+1j) / n has real part +0.0, which writers print
+    return Ket(k.dims, freeze(k.amps / _nonzero_norm(k)))
 
 
 @dataclass(frozen=True)

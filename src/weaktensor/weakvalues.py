@@ -23,7 +23,8 @@ from .errors import (
     SubsystemOutOfRangeError,
 )
 from .hilbert import (
-    Ket, ProjectorProduct, _integers, flat_index, freeze, inner, norm, normalize, read_only_complex
+    Ket, ProjectorProduct, _integers, _nonzero_norm, _scaled, flat_index, freeze, inner, norm,
+    read_only_complex,
 )
 
 #: Relative orthogonality tolerance: a selection is rejected when
@@ -131,7 +132,7 @@ def expectation_tensor(state: Ket) -> WeakValueTensor:
     The state is normalized internally, so the components are the squared
     amplitude magnitudes.
     """
-    components = np.abs(normalize(state).amps).astype(np.complex128)
+    components = np.abs(_scaled(state.amps, _nonzero_norm(state))).astype(np.complex128)
     squares = components.real
     np.square(squares, out=squares)
     return WeakValueTensor(state.dims, freeze(components), "expectation", 1.0 + 0.0j)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from weaktensor import inner, norm, normalize
 from weaktensor.errors import SchemaViolationError, ShapeMismatchError
 
 PAULI = {
@@ -206,3 +207,39 @@ def parse_amps_loop(raw: object, field: str, expected: int) -> np.ndarray:
             raise SchemaViolationError(f"{field}[{k}]", "amplitude must be finite")
         amps[k] = value
     return amps
+
+
+def gauge_fixed_comparison(a, b):
+    """``compare_states``' two-array formula: each state over its norm as a
+    complex division, its phase fixed at its first largest-magnitude
+    amplitude, then the largest magnitude of the difference. Returns
+    ``(fidelity, max_component_diff)``."""
+
+    def gauge_fixed(k, n):
+        u = k.amps / n
+        anchor = u[int(np.argmax(np.abs(u)))]
+        u *= np.conj(anchor) / abs(anchor)
+        return u
+
+    overlap = inner(a, b)
+    na, nb = norm(a), norm(b)
+    fidelity = abs(overlap) ** 2 / (na**2 * nb**2)
+    diff = gauge_fixed(a, na)
+    diff -= gauge_fixed(b, nb)
+    return float(fidelity), float(np.abs(diff).max())
+
+
+def normalized_expectation_components(state):
+    """``expectation_tensor``'s components through ``normalize``: the
+    magnitudes of the divided amplitudes, squared in the real part."""
+    components = np.abs(normalize(state).amps).astype(np.complex128)
+    squares = components.real
+    np.square(squares, out=squares)
+    return components
+
+
+def unique_spectrum(energies):
+    """``(levels, index)`` of the energies by ``np.unique(...,
+    return_inverse=True)`` over their bits."""
+    levels, index = np.unique(np.asarray(energies).view(np.int64), return_inverse=True)
+    return levels.view(np.float64), index

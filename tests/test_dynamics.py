@@ -402,6 +402,17 @@ def test_compare_states_global_phase_invisible():
     assert report.max_component_diff < 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="the fidelity squares the norms, and (1.4e200) ** 2 overflows a Python float",
+)
+def test_compare_states_fidelity_does_not_depend_on_scale():
+    # <a|b> = 0.7e400, |a|^2 = 2e400, |b|^2 = 1.09e400: the true fidelity is 0.49 / 2.18
+    report = compare_states(make_ket((2,), [1e200, 1e200]), make_ket((2,), [1e200, -3e199]))
+    assert report.fidelity == pytest.approx(0.49 / 2.18, abs=1e-12)
+
+
 def test_compare_states_errors():
     with pytest.raises(ShapeMismatchError):
         compare_states(epr_pair(), epr_epr())

@@ -24,11 +24,13 @@ from weaktensor import (
     basis_label,
     basis_state,
     check_dims,
+    custom,
     flat_index,
     inner,
     make_ket,
     norm,
     normalize,
+    scenario_to_json,
     tensor_product,
 )
 from oracles import dense_pauli_string, dense_projector_product, random_state
@@ -296,6 +298,27 @@ def test_normalize():
     k = normalize(make_ket((2,), [3.0, 4.0]))
     assert norm(k) == pytest.approx(1.0)
     np.testing.assert_allclose(k.amps, [0.6, 0.8])
+
+
+def test_normalize_keeps_the_signed_zeros_of_its_division():
+    # numpy's complex division by a real n adds imag * 0.0 to the real part,
+    # so -0.0 + 1j over 3.16... has the real part +0.0. Multiplying the
+    # float64 parts by the reciprocal 1.0 / n, as the kernels that take abs()
+    # of the result do, would keep -0.0, and every writer would print it.
+    k = normalize(make_ket((2,), [complex(-0.0, 1.0), 3]))
+    assert bits(k.amps[0].real) == bits(0.0)
+    assert '"amps": [\n      [\n        0.0,\n' in scenario_to_json(custom(k))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_strided_ket_takes_the_rescaled_norm(scale):
+    # make_ket keeps a read-only strided view, whose parts the rescaled path
+    # (amplitudes above about 1e154 or a norm below 2**-480) must still read
+    base = random_state(np.random.default_rng(5), (16,)) * scale
+    base.setflags(write=False)
+    strided, contiguous = make_ket((2, 2, 2), base[::2]), make_ket((2, 2, 2), base[::2].copy())
+    assert not strided.amps.flags.c_contiguous
+    assert bits(norm(strided)) == bits(norm(contiguous))
 
 
 def test_normalize_zero_vector():

@@ -177,8 +177,10 @@ def test_expectation_tensor_normalizes_internally():
 
 
 def test_expectation_tensor_zero_vector():
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(ZeroVectorError, match=r"^cannot normalize a vector of norm 0\.0$"):
         expectation_tensor(make_ket((2,), [0.0, 0.0]))
+    with pytest.raises(ZeroVectorError, match=r"^cannot normalize a vector of norm 1e-13$"):
+        expectation_tensor(make_ket((2,), [1e-13, 0.0]))
 
 
 def test_expectation_tensor_invariants_on_random_states():
