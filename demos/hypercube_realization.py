@@ -6,7 +6,7 @@ Run: python3 demos/hypercube_realization.py
 """
 
 from weaktensor import (
-    cell_to_basis,
+    basis_label,
     diagonal_cells,
     ghz3_selected,
     ghz_ket,
@@ -19,7 +19,7 @@ from weaktensor import (
 # Eight sub-cubes of a cube realize three qubits.
 print("cube cells to 3-qubit labels:")
 for cell in range(8):
-    print(f"  cell {cell} -> {cell_to_basis(cell, 2, 3)}")
+    print(f"  cell {cell} -> {basis_label(cell, (2, 2, 2))}")
 print("diagonal cells:", diagonal_cells((2, 2, 2)))
 print()
 

@@ -22,9 +22,9 @@ _EXPORTS = {
         "UnsupportedRankError", "WeakTensorError", "ZeroVectorError",
     ),
     "hilbert": (
-        "MAX_DIMENSION", "Ket", "ProjectorProduct", "apply_pauli_string",
-        "apply_projector_product", "basis_label", "basis_labels", "basis_state", "check_dims",
-        "flat_index", "inner", "make_ket", "norm", "normalize", "tensor_product",
+        "MAX_DIMENSION", "Ket", "ProjectorProduct", "apply_pauli_string", "basis_label",
+        "basis_labels", "basis_state", "check_dims", "flat_index", "inner", "make_ket", "norm",
+        "normalize", "tensor_product",
     ),
     "weakvalues": (
         "ORTHO_TOL", "WeakValueTensor", "expectation_tensor", "marginalize",
@@ -39,15 +39,11 @@ _EXPORTS = {
         "build_hamiltonian", "compare_states", "epr_pair", "evolve", "exact_counterpart",
         "joint_hamiltonian", "phase_report", "product_form",
     ),
-    "realization": (
-        "basis_to_cell", "cell_to_basis", "diagonal_cells", "is_diagonal_supported",
-        "stabilizer_eigenvalue",
-    ),
+    "realization": ("diagonal_cells", "is_diagonal_supported", "stabilizer_eigenvalue"),
     "render": ("render_cube", "render_grid", "render_svg"),
     "schemefile": (
         "SchemeDocument", "document_to_json", "parse_scenario", "read_ket_file",
         "read_scenario_file", "render_document", "scenario_to_json", "scheme_document",
-        "write_scenario_file", "write_scheme",
     ),
     "cli": ("cli_main",),
 }

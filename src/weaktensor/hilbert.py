@@ -399,19 +399,6 @@ class ProjectorProduct:
         return tuple(index)
 
 
-def apply_projector_product(p: ProjectorProduct, k: Ket) -> Ket:
-    """Zero every amplitude whose basis label disagrees with the product.
-
-    Pure masking: surviving amplitudes are returned bit-identical, so the
-    operation is exactly idempotent.
-    """
-    index = p.index(k.dims)
-    shaped = k.amps.reshape(k.dims)
-    out = np.zeros_like(shaped)
-    out[index] = shaped[index]
-    return Ket(k.dims, freeze(out))
-
-
 def apply_pauli_string(letters: str, k: Ket) -> Ket:
     """Apply a product of single-qubit Pauli operators, one letter per qubit.
 

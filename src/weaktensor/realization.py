@@ -2,8 +2,8 @@
 and stabilizer eigenvalue checks.
 
 One physical particle occupying one of ``levels**axes`` grid cells realizes
-``axes`` qudits of ``levels`` levels each: the cell index and the basis
-label are related by the big-endian base-``levels`` digit map.
+``axes`` qudits of ``levels`` levels each: cell ``k`` realizes the basis
+label ``hilbert.basis_label(k, (levels,) * axes)``, its big-endian digits.
 """
 
 from __future__ import annotations
@@ -12,35 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
-from .hilbert import (
-    Ket, _integers, apply_pauli_string, basis_label, flat_index, freeze, inner, norm, normalize
-)
+from .errors import ShapeMismatchError
+from .hilbert import Ket, apply_pauli_string, freeze, inner, norm, normalize
 
 #: Component-wise tolerance for declaring an eigenstate.
 EIGENSTATE_TOL = 1e-10
-
-
-def _check_grid(levels: int, axes: int) -> None:
-    levels, axes = _integers((levels, axes), OutOfRangeError, "levels and axes")
-    if levels < 2:
-        raise OutOfRangeError(f"levels must be >= 2, got {levels}")
-    if axes < 1:
-        raise OutOfRangeError(f"axes must be >= 1, got {axes}")
-
-
-def cell_to_basis(cell: int, levels: int, axes: int) -> tuple[int, ...]:
-    """Basis label realized by a grid cell (big-endian base-``levels`` digits)."""
-    _check_grid(levels, axes)
-    return basis_label(cell, (levels,) * axes)  # raises OutOfRangeError off the grid
-
-
-def basis_to_cell(label: Sequence[int], levels: int, axes: int) -> int:
-    """Inverse of :func:`cell_to_basis`."""
-    _check_grid(levels, axes)
-    if len(label) != axes:
-        raise OutOfRangeError(f"label {tuple(label)} does not have {axes} digits")
-    return flat_index(label, (levels,) * axes)  # a LevelOutOfRangeError is an OutOfRangeError
 
 
 def diagonal_cells(dims: Sequence[int]) -> list[tuple[int, ...]]:

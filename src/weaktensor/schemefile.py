@@ -161,11 +161,6 @@ def render_document(doc: SchemeDocument, fmt: str) -> bytes:
     raise UnknownNameError(f"unknown format {fmt!r}; expected json, text, or svg")
 
 
-def write_scheme(doc: SchemeDocument, path: str | os.PathLike, fmt: str = "json") -> None:
-    with open(path, "wb") as handle:
-        handle.write(render_document(doc, fmt))
-
-
 def _require_field(obj: dict, field: str, parent: str = "") -> object:
     name = f"{parent}.{field}" if parent else field
     if field not in obj:
@@ -216,9 +211,17 @@ def _parse_amps(raw: object, field: str, expected: int) -> np.ndarray:
     return freeze(floats).view(np.complex128)
 
 
+#: Largest input file read, checked before decoding: the writers' largest file,
+#: a 2^20 scenario with both states, is about 168 MiB.
+_MAX_FILE_BYTES = 256 * 2**20
+
+
 def _read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            size = os.fstat(handle.fileno()).st_size  # 0 for a pipe, which is not bounded
+            if size > _MAX_FILE_BYTES:
+                raise ParseError(f"file of {size} bytes exceeds the {_MAX_FILE_BYTES}-byte limit")
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {exc.start}: not valid UTF-8 ({exc.reason})") from exc
@@ -313,11 +316,6 @@ def scenario_to_json(scenario: Scenario) -> str:
     for ket in states:
         text = text.replace(key + "[]", key + _pair_list(ket.amps, 2), 1)
     return text
-
-
-def write_scenario_file(scenario: Scenario, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(scenario_to_json(scenario))
 
 
 @_collector_paused()  # until the decoded tree is freed, on return

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from weaktensor import inner, norm, normalize
+from weaktensor import Ket, inner, norm, normalize
 from weaktensor.errors import SchemaViolationError, ShapeMismatchError
 
 PAULI = {
@@ -51,6 +51,17 @@ def weak_value_observable(pre, post, matrix):
     if a.shape != (pre.dim, pre.dim):
         raise ShapeMismatchError(f"operator shape {a.shape} does not match dimension {pre.dim}")
     return complex(np.vdot(post.amps, a @ pre.amps) / np.vdot(post.amps, pre.amps))
+
+
+def apply_projector_product(p, k):
+    """``k`` with every amplitude off the support of the projector product
+    ``p`` zeroed, through ``ProjectorProduct.index``. Survivors are copied
+    bit-identical, so the masking is exactly idempotent."""
+    index = p.index(k.dims)
+    shaped = k.amps.reshape(k.dims)
+    out = np.zeros_like(shaped)
+    out[index] = shaped[index]
+    return Ket(k.dims, out)
 
 
 def dense_pauli_string(letters):

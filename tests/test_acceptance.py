@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (or ``-s`` for the explicit
 PASS lines).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,21 @@ def test_criterion_03_cheshire_hardy_equivalence():
     relabeled = hardy_overlap_labels(hardy())
     np.testing.assert_allclose(relabeled.tensor().components, h, atol=TOL)
     done(3, "cheshire tensor equals relabeled hardy tensor component-wise")
+
+
+def test_cheshire_hardy_have_exactly_two_relabelings():
+    c = cheshire().tensor().components
+    h = hardy().tensor().components
+    # all 8 relabelings of a 2x2 tensor: axis order x a level order per axis
+    found = {
+        (axes, flips)
+        for axes in ((0, 1), (1, 0))
+        for flips in itertools.product((False, True), repeat=2)
+        if np.abs(np.flip(np.transpose(h, axes), [k for k in (0, 1) if flips[k]]) - c).max()
+        <= 1e-12 * np.abs(c).sum()
+    }
+    # the documented axis swap, and both axes kept with both level orders reversed
+    assert found == {((1, 0), (False, False)), ((0, 1), (True, True))}
 
 
 def test_criterion_04_three_level_ghz_selection():

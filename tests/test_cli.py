@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weaktensor
-from weaktensor import SCENARIO_NAMES, cli_main, hardy, write_scenario_file
+from weaktensor import SCENARIO_NAMES, cli_main, hardy, scenario_to_json
 from weaktensor.cli import cli_main as cli_main_direct
 
 
@@ -96,7 +96,7 @@ def test_run_unknown_scenario_is_usage_error(capsys):
 
 def test_run_scenario_from_file(capsys, tmp_path):
     path = tmp_path / "mypair.json"
-    write_scenario_file(hardy(), path)
+    path.write_text(scenario_to_json(hardy()), encoding="utf-8")
     code, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
     assert code == 0
     payload = json.loads(out)

@@ -20,15 +20,14 @@ PUBLIC_NAMES = """
     NonNumericAmplitudeError ORTHO_TOL OrthogonalSelectionError OutOfRangeError ParseError
     PhaseReport ProjectorProduct SCENARIO_NAMES Scenario SchemaViolationError SchemeDocument
     ShapeMismatchError SubsystemOutOfRangeError UnknownNameError UnsupportedRankError
-    WeakTensorError WeakValueTensor ZeroVectorError apply_pauli_string apply_projector_product
-    basis_label basis_labels basis_state basis_to_cell bell build_hamiltonian build_named
-    cell_to_basis check_dims cheshire cli_main compare_states custom diagonal_cells
-    document_to_json epr_pair evolve exact_counterpart expectation_tensor flat_index ghz
-    ghz3_selected ghz_ket hardy hardy_gamma hardy_overlap_labels inner is_diagonal_supported
-    joint_hamiltonian make_ket marginalize norm normalize parse_scenario phase_report
-    product_form read_ket_file read_scenario_file render_cube render_document render_grid
-    render_svg scenario_to_json scheme_document selection_overlap stabilizer_eigenvalue
-    tensor_product total_sum weak_tensor weak_value write_scenario_file write_scheme
+    WeakTensorError WeakValueTensor ZeroVectorError apply_pauli_string basis_label
+    basis_labels basis_state bell build_hamiltonian build_named check_dims cheshire cli_main
+    compare_states custom diagonal_cells document_to_json epr_pair evolve exact_counterpart
+    expectation_tensor flat_index ghz ghz3_selected ghz_ket hardy hardy_gamma
+    hardy_overlap_labels inner is_diagonal_supported joint_hamiltonian make_ket marginalize
+    norm normalize parse_scenario phase_report product_form read_ket_file read_scenario_file
+    render_cube render_document render_grid render_svg scenario_to_json scheme_document
+    selection_overlap stabilizer_eigenvalue tensor_product total_sum weak_tensor weak_value
 """.split()
 
 #: prints the CLI process's thread count and BLAS setting as it exits

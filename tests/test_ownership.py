@@ -16,7 +16,6 @@ from weaktensor import (
     Ket,
     ProjectorProduct,
     apply_pauli_string,
-    apply_projector_product,
     basis_state,
     build_hamiltonian,
     evolve,
@@ -133,13 +132,6 @@ def test_normalize_output_is_fresh_and_frozen():
 def test_tensor_product_output_is_fresh_and_frozen():
     a, b = _states(3, (2,))
     _assert_fresh(tensor_product(a, b).amps, a.amps, b.amps)
-
-
-@pytest.mark.parametrize("factors", [(), ((0, 1),), ((0, 0), (1, 2))])
-def test_apply_projector_product_output_is_fresh_and_frozen(factors):
-    state, _ = _states(4, (2, 3))
-    out = apply_projector_product(ProjectorProduct(factors), state)
-    _assert_fresh(out.amps, state.amps)
 
 
 @pytest.mark.parametrize("letters", ["II", "XI", "IY", "ZZ"])

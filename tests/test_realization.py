@@ -6,12 +6,14 @@ import pytest
 
 from weaktensor import (
     Ket,
+    LengthMismatchError,
+    LevelOutOfRangeError,
     OutOfRangeError,
     ShapeMismatchError,
+    basis_label,
     basis_state,
-    basis_to_cell,
-    cell_to_basis,
     diagonal_cells,
+    flat_index,
     ghz_ket,
     is_diagonal_supported,
     make_ket,
@@ -27,35 +29,34 @@ S2 = 1.0 / math.sqrt(2.0)
 
 
 def test_cell_five_of_the_cube():
-    assert cell_to_basis(5, 2, 3) == (1, 0, 1)
+    assert basis_label(5, (2, 2, 2)) == (1, 0, 1)
 
 
 def test_eight_cells_of_the_cube():
-    labels = [cell_to_basis(c, 2, 3) for c in range(8)]
+    labels = [basis_label(c, (2, 2, 2)) for c in range(8)]
     assert labels == list(itertools.product((0, 1), repeat=3))
 
 
 @pytest.mark.parametrize("levels,axes", [(d, n) for d in (2, 3, 4) for n in (1, 2, 3, 4, 5)])
 def test_cell_basis_bijection_exhaustive(levels, axes):
+    grid = (levels,) * axes
     seen = set()
     for cell in range(levels**axes):
-        label = cell_to_basis(cell, levels, axes)
-        assert basis_to_cell(label, levels, axes) == cell
+        label = basis_label(cell, grid)
+        assert flat_index(label, grid) == cell
         seen.add(label)
     assert len(seen) == levels**axes
 
 
 def test_cell_map_errors():
     with pytest.raises(OutOfRangeError):
-        cell_to_basis(8, 2, 3)
+        basis_label(8, (2, 2, 2))
     with pytest.raises(OutOfRangeError):
-        cell_to_basis(-1, 2, 3)
-    with pytest.raises(OutOfRangeError):
-        basis_to_cell((0, 2), 2, 2)
-    with pytest.raises(OutOfRangeError):
-        basis_to_cell((0, 0, 0), 2, 2)
-    with pytest.raises(OutOfRangeError):
-        cell_to_basis(0, 1, 3)
+        basis_label(-1, (2, 2, 2))
+    with pytest.raises(LevelOutOfRangeError):
+        flat_index((0, 2), (2, 2))
+    with pytest.raises(LengthMismatchError):
+        flat_index((0, 0, 0), (2, 2))
 
 
 # ---------------------------------------------------------------- diagonals

@@ -2,6 +2,7 @@ import functools
 import gc
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from weaktensor import (
     ParseError,
     SchemaViolationError,
     bell,
+    cli_main,
     custom,
     document_to_json,
     hardy,
@@ -21,11 +23,10 @@ from weaktensor import (
     render_document,
     scenario_to_json,
     scheme_document,
-    write_scenario_file,
-    write_scheme,
 )
 from weaktensor.errors import UnsupportedRankError
 from weaktensor.render import check_rank
+from weaktensor.schemefile import _MAX_FILE_BYTES
 
 HARDY_JSON = """
 {
@@ -111,7 +112,7 @@ def test_non_object_document_rejected():
 def test_scenario_write_read_round_trip_is_bit_exact(build, tmp_path):
     original = build()
     path = tmp_path / "scenario.json"
-    write_scenario_file(original, path)
+    path.write_text(scenario_to_json(original), encoding="utf-8")
     loaded = read_scenario_file(path)
     np.testing.assert_array_equal(loaded.pre.amps, original.pre.amps)
     if original.post is None:
@@ -125,7 +126,7 @@ def test_irrational_amplitudes_round_trip_bit_exact(tmp_path):
     amps = [1.0 / math.sqrt(3.0), math.pi * 1e-7, -2.0 / 3.0, 0.1 + 0.2j]
     s = custom(make_ket((2, 2), amps))
     path = tmp_path / "s.json"
-    write_scenario_file(s, path)
+    path.write_text(scenario_to_json(s), encoding="utf-8")
     np.testing.assert_array_equal(read_scenario_file(path).pre.amps, s.pre.amps)
 
 
@@ -164,14 +165,6 @@ def test_render_document_formats():
         render_document(doc, "png")
 
 
-def test_write_scheme_files(tmp_path):
-    doc = scheme_document(hardy())
-    for fmt, probe in [("json", b"{"), ("text", b"sum"), ("svg", b"<?xml")]:
-        path = tmp_path / f"out.{fmt}"
-        write_scheme(doc, path, fmt)
-        assert probe in path.read_bytes()
-
-
 def test_document_to_tensor_round_trip():
     doc = scheme_document(hardy())
     np.testing.assert_array_equal(doc.to_tensor().components, hardy().tensor().components)
@@ -203,6 +196,45 @@ def test_scenario_json_text_shape():
     payload = json.loads(text)
     assert list(payload) == ["shape", "pre", "post", "labels"]
     assert payload["pre"]["amps"][0] == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------- the size cap
+
+
+def test_a_file_over_the_size_cap_is_refused_before_it_is_read(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, _MAX_FILE_BYTES + 1)  # sparse: no disk or memory is used
+    message = f"file of {_MAX_FILE_BYTES + 1} bytes exceeds the {_MAX_FILE_BYTES}-byte limit"
+    for read in (read_ket_file, read_scenario_file):
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == message
+    for argv in (["tensor", "--pre", str(path)], ["run", str(path)]):
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"ParseError: {message}\n")
+
+
+def test_the_writers_largest_file_is_below_the_size_cap():
+    # a scenario file of 2**n components with both states, every part a float
+    # repr of the longest length: size(n) = fixed + per_axis * n + 2 * per_pair * 2**n
+    part = -1.2345678901234567e-100
+    assert len(repr(part)) == 24
+
+    def size(n):
+        k = make_ket((2,) * n, np.full(2**n, complex(part, part)))
+        return len(scenario_to_json(custom(k, k)).encode("utf-8"))
+
+    d1, d2 = size(3) - size(2), size(4) - size(3)
+    per_pair = (d2 - d1) // 8
+    per_axis = d1 - 8 * per_pair
+
+    def predicted(n):
+        return size(4) + per_axis * (n - 4) + 2 * per_pair * (2**n - 2**4)
+
+    assert predicted(5) == size(5) and per_pair == 84
+    assert predicted(20) < 169 * 2**20 < _MAX_FILE_BYTES
 
 
 # ---------------------------------------------------------------- the collector during a read

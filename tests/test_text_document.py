@@ -5,14 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from weaktensor import (
-    cli_main,
-    custom,
-    read_ket_file,
-    render_document,
-    scheme_document,
-    write_scheme,
-)
+from weaktensor import cli_main, custom, read_ket_file, render_document, scheme_document
 from oracles import random_selected_pair, random_state
 
 
@@ -48,5 +41,5 @@ def test_expectation_document_text_equals_cli_text(tmp_path, capsys):
     assert render_document(doc, "text").decode("utf-8") == out
     assert out.startswith("scenario: custom\nkind: expectation\n")
     written = tmp_path / "doc.txt"
-    write_scheme(doc, written, "text")
+    assert cli_main(["tensor", "--pre", pre_path, "--format", "text", "--out", str(written)]) == 0
     assert written.read_text(encoding="utf-8") == out
