@@ -47,8 +47,7 @@ class DuplicateSubsystemError(WeakTensorError):
 
 
 class OutOfRangeError(WeakTensorError):
-    """A cell index, digit or grid count is outside its valid range; the two
-    subclasses below are a subsystem index and a basis level."""
+    """A flat index is off its range; subclasses: a subsystem index, a basis level."""
 
 
 class SubsystemOutOfRangeError(OutOfRangeError):

@@ -100,6 +100,7 @@ def check_labels(
 def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
     """Big-endian flat index of a basis label: the one reader of a full label."""
     label = _integers(label, LevelOutOfRangeError, "levels")
+    dims = _integers(dims, ShapeMismatchError, "local dimensions")
     if len(label) != len(dims):
         raise LengthMismatchError(f"label {label} does not match shape {tuple(dims)}")
     idx = 0
@@ -113,6 +114,7 @@ def flat_index(label: Sequence[int], dims: Sequence[int]) -> int:
 def basis_label(index: int, dims: Sequence[int]) -> tuple[int, ...]:
     """Inverse of :func:`flat_index`."""
     (index,) = _integers((index,), OutOfRangeError, "flat index")
+    dims = _integers(dims, ShapeMismatchError, "local dimensions")
     d_total = math.prod(dims)
     if not 0 <= index < d_total:
         raise OutOfRangeError(f"flat index {index} is outside [0, {d_total})")
@@ -130,7 +132,7 @@ def basis_labels(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
     Pair it with a flat amplitude array (``zip``) or a boolean mask over one
     (``itertools.compress``) instead of calling :func:`basis_label` per index.
     """
-    return itertools.product(*map(range, dims))
+    return itertools.product(*map(range, _integers(dims, ShapeMismatchError, "local dimensions")))
 
 
 def _frozen(array: np.ndarray) -> bool:

@@ -117,6 +117,14 @@ def label_strs(dims: Sequence[int]) -> Iterator[str]:
         yield from _strings(block)
 
 
+def shown(text: str) -> str:
+    """How text and SVG show a label or name: each character :meth:`str.isprintable`
+    refuses as its Python escape, so ``"a\\nb"`` is shown as ``a\\nb``."""
+    if text.isprintable():  # one C call for the usual label
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
     flagged = np.flatnonzero(np.abs(t.components.imag) > IMAG_WARN_TOL)
     if not flagged.size:
@@ -164,7 +172,7 @@ def render_grid(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     then a count of the rest.
     """
     check_rank("grid", t.rank)
-    labels = check_labels(labels, t.dims)
+    labels = [[*map(shown, axis)] for axis in check_labels(labels, t.dims)]
     sums = (*map(fmt_reals, t.marginals), fmt_real(total_sum(t)))
     lines = _grid_lines(fmt_reals(t.components), labels[0], labels[1], sums)
     lines.extend(_imag_warning(t, labels))
@@ -178,7 +186,7 @@ def render_cube(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = Non
     diagonal cell ``(i, i, i)`` is marked with ``*``.
     """
     check_rank("cube", t.rank)
-    labels = check_labels(labels, t.dims)
+    labels = [[*map(shown, axis)] for axis in check_labels(labels, t.dims)]
     _, rows, cols = t.dims
     lines: list[str] = []
     for i, slice_label in enumerate(labels[0]):
@@ -203,18 +211,14 @@ _CAPTION_H = 26
 #: Cell fill by the sign of the real part: 1, -1, or 0 within SIGN_TOL (or NaN)
 _FILLS = ("#efefef", "#aecbe8", "#f2b8a0")
 
-#: What SVG text writes for a character: the entity of "&", "<" and ">", and the
-#: Python escape of each character XML 1.0 cannot hold (C0 controls but tab, LF
-#: and CR; U+FFFE and U+FFFF). The encoder escapes lone surrogates.
-_SVG_ESCAPES = {c: repr(chr(c))[1:-1] for c in {*range(32), 0xFFFE, 0xFFFF} - {9, 10, 13}}
-_SVG_ESCAPES.update(str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"}))
+#: SVG text's entities; :func:`shown` leaves no other character XML 1.0 cannot hold.
+_SVG_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _svg_text(x: int, y: int, text: str, anchor: str = "middle", size: int = 14) -> str:
-    escaped = text.translate(_SVG_ESCAPES)
     return (
         f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
-        f'font-family="monospace" font-size="{size}">{escaped}</text>'
+        f'font-family="monospace" font-size="{size}">{text.translate(_SVG_ESCAPES)}</text>'
     )
 
 
@@ -225,11 +229,11 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     values, the imaginary part appended where it exceeds
     :data:`IMAG_WARN_TOL`; rank-3 tensors are drawn as captioned slices
     along axis 0 with the cube diagonal cells outlined. Output is
-    deterministic byte-for-byte and well-formed XML: a character XML 1.0
-    or UTF-8 cannot hold is written as its backslash escape.
+    deterministic byte-for-byte and well-formed XML: labels and captions are
+    written by :func:`shown`, and "&", "<" and ">" as entities.
     """
     check_rank("SVG", t.rank)
-    labels = check_labels(labels, t.dims)
+    labels = [[*map(shown, axis)] for axis in check_labels(labels, t.dims)]
     flat = t.components.reshape(-1)
     texts = fmt_reals(flat)
     for k in np.flatnonzero(np.abs(flat.imag) > IMAG_WARN_TOL).tolist():

@@ -98,10 +98,9 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
     return Ket(dims, amps)
 
 
-def ghz(parties: int, levels: int, all_diagonal: bool = False) -> Scenario:
-    """GHZ scenario (expectation-only)."""
-    state = ghz_ket(parties, levels, all_diagonal)
-    return Scenario("ghz", state, None, None)
+def ghz(parties: int, levels: int) -> Scenario:
+    """GHZ scenario (expectation-only) of the two-term :func:`ghz_ket`."""
+    return Scenario("ghz", ghz_ket(parties, levels), None, None)
 
 
 def cheshire() -> Scenario:

@@ -35,7 +35,7 @@ from .errors import (
     DimensionOverflowError, ParseError, SchemaViolationError, UnknownNameError, WeakTensorError
 )
 from .hilbert import MAX_DIMENSION, Ket, check_dims, freeze, read_only_complex
-from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg
+from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg, shown
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
 
@@ -133,14 +133,14 @@ def _document_text(doc: SchemeDocument) -> str:
     # header, then the grid (rank 2), the cube (rank 3) or one line per
     # component, then the per-axis marginals and the total
     re, im = map(_fmt_overlap_part, (doc.overlap.real, doc.overlap.imag))
-    lines = [f"scenario: {doc.scenario}", f"kind: {doc.kind}", f"overlap: {re}{im}i"]
+    lines = [f"scenario: {shown(doc.scenario)}", f"kind: {doc.kind}", f"overlap: {re}{im}i"]
     block = {2: render_grid, 3: render_cube}.get(len(doc.dims))
     if block is not None:
         lines.append(block(doc.to_tensor(), doc.labels).rstrip("\n"))
     else:
         lines.extend(map("  {}  {}".format, label_strs(doc.dims), fmt_reals(doc.components)))
     for axis, per_level in enumerate(doc.marginals):
-        pairs = "  ".join(map("{}={}".format, doc.labels[axis], fmt_reals(per_level)))
+        pairs = "  ".join(map("{}={}".format, map(shown, doc.labels[axis]), fmt_reals(per_level)))
         lines.append(f"axis {axis} marginals: {pairs}")
     lines.append(f"total: {fmt_real(doc.total)}")
     return "\n".join(lines) + "\n"
@@ -149,8 +149,8 @@ def _document_text(doc: SchemeDocument) -> str:
 def render_document(doc: SchemeDocument, fmt: str) -> bytes:
     """Render a document as json, text, or svg bytes.
 
-    The text form is the CLI's text document for any rank; text and SVG write a
-    character UTF-8 cannot encode (a lone surrogate) as its backslash escape.
+    The text form is the CLI's text document for any rank. Text and SVG show the
+    scenario name and labels by :func:`~weaktensor.render.shown`, JSON raw.
     """
     if fmt == "json":
         return document_to_json(doc).encode("utf-8")

@@ -5,14 +5,16 @@ errors); exit 1 writes exactly one stderr line, ``Name: message``, and exit
 subcommand, with named regression tests for the faults it has found."""
 
 import io
+import itertools
 import json
+import math
 import os
 import re
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from weaktensor import (
@@ -25,6 +27,7 @@ from weaktensor import (
     read_ket_file,
 )
 from weaktensor.dynamics import FAMILIES
+from weaktensor.render import shown
 
 ERROR_LINE = re.compile(r"[A-Za-z]\w*: [^\n]*\n")
 
@@ -318,3 +321,108 @@ def test_evolve_realize_and_listing_keep_the_contract():
         check_contract(argv)
 
     run()
+
+
+# ---------------------------------------------------------------- exotic labels
+
+
+#: Label characters: any code point, plus the ones a display rule must handle:
+#: line breaks, controls, separators, non-characters, lone surrogates, markup,
+#: the backslash and printable non-ASCII.
+LABEL_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from("\n\r\t\0\x01\x0b\x1e\x7f\x85\xa0\xad\u2028\u2029\ufffe\uffff\ud800\udcff"
+                    "&<>'\"↑é" + "\\" * 3),
+)
+LABELED_SHAPES = st.sampled_from([[2, 2], [2, 3], [3, 2], [2, 2, 2], [3, 2, 2]])
+
+
+def labeled_file(path, shape, labels):
+    # pre has one imaginary amplitude and post is uniform, so the weak tensor
+    # has complex cells: the text warning line names them by their labels
+    n = math.prod(shape)
+    pre = [[0, 1]] + [[1, 0]] * (n - 1)
+    path.write_text(json.dumps({"shape": shape, "labels": labels, "pre": {"amps": pre},
+                                "post": {"amps": [[1, 0]] * n}}))
+    return path
+
+
+def note_cases(labels):
+    chars = set("".join(itertools.chain.from_iterable(labels)))
+    event(f"rank {len(labels)}")
+    for case, hit in [
+        ("a label shown differently", any(shown(l) != l for axis in labels for l in axis)),
+        ("a line break", any(len(f"a{c}b".splitlines()) > 1 for c in chars)),
+        ("a lone surrogate", any("\ud800" <= c <= "\udfff" for c in chars)),
+        ("markup", bool(chars & set("&<>"))),
+        ("a backslash", "\\" in chars),
+        ("printable non-ASCII", any(c.isprintable() and not c.isascii() for c in chars)),
+        ("an empty label", any(l == "" for axis in labels for l in axis)),
+    ]:
+        if hit:
+            event(case)
+
+
+def check_every_format(path, shape, labels):
+    """Text: each line one physical line, each grid's rows of one ``str``
+    width, each label shown as :func:`shown` gives it; SVG: well-formed
+    XML whose label texts are :func:`shown` of the labels; JSON: raw labels."""
+    *slices, rows, cols = shape
+    code, out, err = call(["run", path, "--format", "text"])
+    assert (code, err) == (0, "")
+    text = out.decode("utf-8")
+    lines = text.split("\n")
+    assert lines.pop() == "" and text.splitlines() == lines
+    grid = 1 + rows + (0 if slices else 2)  # column labels, rows, and rank 2's sum band
+    per_slice = grid + 2 if slices else grid  # a caption above and a blank line below
+    # header, slices, the warning, one marginal line per axis, the total
+    count = 3 + per_slice * (slices[0] if slices else 1) + 1 + len(shape) + 1
+    assert len(lines) == count, lines
+    for k in range(slices[0] if slices else 1):
+        start = 3 + k * per_slice + bool(slices)
+        if slices:
+            assert lines[start - 1] == f"slice {shown(labels[0][k])}:"
+        block = lines[start : start + grid]
+        assert len(set(map(len, block))) == 1, block
+        at = 0
+        for label in labels[-1]:
+            at = block[0].index(shown(label), at) + len(shown(label))
+        for line, label in zip(block[1:], labels[-2]):
+            assert line.startswith(shown(label))
+    assert lines[-len(shape) - 2].startswith("warning: imaginary parts above")
+    for axis, line in enumerate(lines[-len(shape) - 1 : -1]):
+        assert line.startswith(f"axis {axis} marginals: {shown(labels[axis][0])}=")
+
+    code, out, err = call(["run", path, "--format", "svg"])
+    assert (code, err) == (0, "")
+    texts = [e.text or "" for e in ET.fromstring(out).findall(".//{*}text")]
+    per_slice = bool(slices) + cols + rows + rows * cols
+    for k in range(slices[0] if slices else 1):
+        got = texts[k * per_slice : (k + 1) * per_slice]
+        if slices:
+            assert got.pop(0) == "slice " + shown(labels[0][k])
+        assert got[: cols + rows] == [*map(shown, labels[-1]), *map(shown, labels[-2])]
+
+    code, out, err = call(["run", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["labels"] == labels
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[["a\nb", "c"], ["d", "e"]], [["\ud800", "b"], ["c", "d"]],
+     [["a\nb", "\ud800"], ["c\td", "e"]]],
+    ids=["newline", "surrogate", "both"],
+)
+def test_an_exotic_label_keeps_every_text_line_and_column(tmp_path, labels):
+    check_every_format(labeled_file(tmp_path / "f.json", [2, 2], labels), [2, 2], labels)
+
+
+@fuzz(100)
+@given(data=st.data())
+def test_exotic_labels_in_every_format(fuzz_dir, data):
+    shape = data.draw(LABELED_SHAPES)
+    labels = [data.draw(st.lists(st.text(LABEL_CHARS, max_size=3), min_size=d, max_size=d))
+              for d in shape]
+    note_cases(labels)
+    check_every_format(labeled_file(fuzz_dir / "labeled.json", shape, labels), shape, labels)

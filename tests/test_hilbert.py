@@ -21,6 +21,7 @@ from weaktensor import (
     ZeroVectorError,
     apply_pauli_string,
     basis_label,
+    basis_labels,
     basis_state,
     check_dims,
     custom,
@@ -126,6 +127,25 @@ def test_index_map_errors():
         flat_index((0,), (2, 2))
     with pytest.raises(OutOfRangeError):
         basis_label(4, (2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: basis_label(1, (2.5, 2)), lambda: basis_label(3, (2.0, 2)),
+     lambda: flat_index((0, 1), (2.5, 2)), lambda: basis_labels((2.5, 2))],
+    ids=["basis_label", "basis_label-integral-float", "flat_index", "basis_labels"],
+)
+def test_index_maps_refuse_a_float_dimension(call):
+    # the integer rule of check_dims, not a float label or a bare TypeError
+    with pytest.raises(ShapeMismatchError, match="expected integer local dimensions"):
+        call()
+
+
+def test_index_maps_keep_a_one_level_axis():
+    # the integer rule only: no ">= 2" check, as the README's cell-map note says
+    assert basis_label(0, (1,)) == (0,)
+    assert flat_index((0,), (1,)) == 0
+    assert list(basis_labels((1, 2))) == [(0, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------- products

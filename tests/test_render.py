@@ -2,6 +2,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaktensor import (
     Ket,
@@ -16,6 +18,7 @@ from weaktensor import (
     render_svg,
     weak_tensor,
 )
+from weaktensor.render import shown
 from oracles import random_selected_pair
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -148,6 +151,32 @@ def test_svg_escapes_markup_in_labels():
     svg = render_svg(s.tensor(), s.axis_labels)
     xml.dom.minidom.parseString(svg)  # raises if the markup leaked through
     assert b"a&lt;b" in svg and b"c&amp;d" in svg
+
+
+# ---------------------------------------------------------------- the display rule
+
+
+@pytest.mark.parametrize("text", ["↑", "L_p", "", "a b", "\\n", "&<>", "é"])
+def test_shown_returns_a_printable_label_unchanged(text):
+    assert shown(text) is text
+
+
+@pytest.mark.parametrize(
+    "text, display",
+    [("a\nb", "a\\nb"), ("c\td", "c\\td"), ("\ud800", "\\ud800"), ("\x00\x7f", "\\x00\\x7f"),
+     ("\xa0", "\\xa0"), ("\u2028", "\\u2028"), ("\ufffe", "\\ufffe"), ("\U000e0001", "\\U000e0001"),
+     ("↑\n↓", "↑\\n↓")],
+)
+def test_shown_writes_each_unprintable_character_as_its_escape(text, display):
+    assert shown(text) == display
+    assert shown(display) == display  # idempotent: the display is printable
+
+
+@settings(max_examples=200)
+@given(st.text(st.characters(exclude_categories=()), max_size=8))
+def test_shown_is_printable_and_idempotent(text):
+    assert shown(text).isprintable()
+    assert shown(shown(text)) == shown(text)
 
 
 # ---------------------------------------------------------------- errors
