@@ -15,13 +15,14 @@ Subcommands:
 Each command returns UTF-8 bytes that :func:`cli_main` writes once, to ``--out``
 or stdout. Option values such as ``-1e3`` and ``-inf`` read as numbers.
 
-Exit codes: 0 on success, 2 on usage errors, 1 on domain errors (the error
-name is written to stderr).
+Exit codes: 0 on success, 2 on usage errors, 1 on domain errors and on output
+not written in full, such as to a closed pipe (the error name goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import re
@@ -87,7 +88,8 @@ def _emit(data: bytes, out: str | None) -> None:
             handle.write(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # what was printed before stays in front
-        sys.stdout.buffer.write(data)
+        if sys.stdout.buffer.write(data) != len(data):  # a reader closed the pipe mid-write
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
     else:  # a text-only stream, such as an io.StringIO
         sys.stdout.write(data.decode("utf-8"))
 

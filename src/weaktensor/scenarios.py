@@ -151,10 +151,11 @@ def hardy_gamma(gamma: float) -> Scenario:
     Instead of removing the overlap component ``|L_p R_e>``, the interaction
     leaves it with a relative phase: pre state ``|L_p L_e> +
     e^{i*gamma}|L_p R_e> + |R_p L_e> + |R_p R_e>``, post state as in
-    :func:`hardy`. The selection overlap is ``1 - e^{i*gamma}``, so the
-    components diverge as gamma approaches 0 (the construction is a
-    deformation of the paradox, not a limit recovery), and gamma = 0 is
-    rejected as an orthogonal selection. A ``None`` gamma is a missing one.
+    :func:`hardy`. It is the unit circle of the family with any ``alpha`` in
+    place of ``e^{i*gamma}``: weak tensor ``(1, -alpha, -1, 1) / (1 - alpha)``,
+    :func:`hardy` at ``alpha = 0``. The components diverge as gamma nears 0,
+    the family's singular point ``alpha = 1``, and gamma = 0 is rejected as an
+    orthogonal selection. A ``None`` gamma is a missing one.
     """
     if gamma is None:
         raise MissingParamError("hardy-gamma requires a gamma value")

@@ -13,10 +13,10 @@ A scheme document is the computed output: the tensor components, per-axis
 marginals, the selection overlap and the total sum, serialized as JSON with
 complex numbers as ``[re, im]`` pairs. Both writers give the bytes of
 ``json.dumps(payload, indent=2)`` (``NaN`` / ``Infinity`` for non-finite
-values), but the long pair lists are written by one list writer,
-`_pair_list`, instead of the pure-Python ``indent`` encoder. Python's
-shortest-repr float formatting makes the JSON round trip bit-exact for finite
-doubles.
+values), but every ``[re, im]`` list (the components, each marginal and each
+state's amplitudes) is written by one list writer, `_pair_list`, instead of
+the pure-Python ``indent`` encoder. Python's shortest-repr float formatting
+makes the JSON round trip bit-exact for finite doubles.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from .hilbert import MAX_DIMENSION, Ket, check_dims, freeze, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg, shown
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
-
-
-def _pairs(values) -> list[list[float]]:
-    # one [re, im] per complex value of a scalar or array, bit-exact (-0.0 too)
-    return np.asarray(values, np.complex128).reshape(-1).view(np.float64).reshape(-1, 2).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,21 +101,33 @@ def _pair_list(values: np.ndarray, depth: int) -> str:
     return text
 
 
+def _spliced(payload: dict, *lists: tuple[str, str]) -> str:
+    """``json.dumps(payload, indent=2)`` and a newline, each ``(key, text)`` written over the
+    next ``key + "[]"`` in one join. JSON escapes a newline inside a string, so a ``key`` that
+    opens with one matches only its own key line."""
+    parts = [json.dumps(payload, indent=2) + "\n"]
+    for key, text in lists:
+        head, _, tail = parts.pop().partition(key + "[]")
+        parts += [head, key, text, tail]
+    return "".join(parts)
+
+
 def document_to_json(doc: SchemeDocument) -> str:
+    overlap, total = complex(doc.overlap), complex(doc.total)
     payload = {
         "scenario": doc.scenario,
         "shape": list(doc.dims),
         "labels": [list(axis) for axis in doc.labels],
         "kind": doc.kind,
-        "overlap": _pairs(doc.overlap)[0],
-        "components": [],  # spliced in below
-        "marginals": [_pairs(axis) for axis in doc.marginals],
-        "total": _pairs(doc.total)[0],
+        "overlap": [overlap.real, overlap.imag],
+        "components": [],  # this and the marginals spliced in below
+        "marginals": [],
+        "total": [total.real, total.imag],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    # JSON escapes a newline inside a string, so only the key's own line matches
-    key = '\n  "components": '
-    return text.replace(key + "[]", key + _pair_list(doc.components, 1), 1)
+    marginals = ",\n    ".join(_pair_list(axis, 2) for axis in doc.marginals)
+    marginals = f"[\n    {marginals}\n  ]" if doc.marginals else "[]"
+    lists = ('\n  "components": ', _pair_list(doc.components, 1)), ('\n  "marginals": ', marginals)
+    return _spliced(payload, *lists)
 
 
 def _fmt_overlap_part(value: float) -> str:
@@ -311,11 +318,7 @@ def scenario_to_json(scenario: Scenario) -> str:
     if scenario.post is not None:
         payload["post"] = {"amps": []}
     payload["labels"] = [list(axis) for axis in scenario.axis_labels]
-    text = json.dumps(payload, indent=2) + "\n"
-    key = '\n    "amps": '  # as in document_to_json; pre's line comes first
-    for ket in states:
-        text = text.replace(key + "[]", key + _pair_list(ket.amps, 2), 1)
-    return text
+    return _spliced(payload, *(('\n    "amps": ', _pair_list(ket.amps, 2)) for ket in states))
 
 
 @_collector_paused()  # until the decoded tree is freed, on return

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from weaktensor import Ket, inner, norm, normalize
+from weaktensor import Ket, inner, make_ket, norm, normalize
 from weaktensor.errors import SchemaViolationError, ShapeMismatchError
 
 PAULI = {
@@ -254,3 +254,12 @@ def unique_spectrum(energies):
     return_inverse=True)`` over their bits."""
     levels, index = np.unique(np.asarray(energies).view(np.int64), return_inverse=True)
     return levels.view(np.float64), index
+
+
+def hardy_family(alpha):
+    """``(pre, post)`` of the class that holds both experiments: pre ``|L_p
+    L_e> + alpha|L_p R_e> + |R_p L_e> + |R_p R_e>``, post as in ``hardy``.
+    Its weak tensor is ``(1, -alpha, -1, 1) / (1 - alpha)`` in flat order;
+    ``alpha = 0`` is ``hardy`` and ``alpha = e^{i*gamma}`` is ``hardy_gamma``."""
+    pre = make_ket((2, 2), np.array([1.0, alpha, 1.0, 1.0], dtype=complex))
+    return pre, make_ket((2, 2), [1.0, -1.0, -1.0, 1.0])

@@ -40,9 +40,9 @@ runpy.run_module("weaktensor", run_name="__main__")
 """
 
 
-def _python(argv, **env):
-    """Run a fresh interpreter on this checkout's package; ``None`` unsets a
-    variable, and nothing else of the environment changes."""
+def _env(**env):
+    """The environment with this checkout's package on the path; ``None``
+    unsets a variable, and nothing else of the environment changes."""
     src = os.path.dirname(os.path.dirname(weaktensor.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     full = {**os.environ, "PYTHONPATH": path}
@@ -51,7 +51,13 @@ def _python(argv, **env):
             full.pop(name, None)
         else:
             full[name] = value
-    done = subprocess.run([sys.executable, *argv], env=full, capture_output=True, timeout=120)
+    return full
+
+
+def _python(argv, **env):
+    """Run a fresh interpreter on this checkout's package, with ``_env(**env)``."""
+    argv = [sys.executable, *argv]
+    done = subprocess.run(argv, env=_env(**env), capture_output=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, b""), done.stderr
     return done.stdout
 
@@ -131,3 +137,42 @@ def test_the_cli_runs_one_blas_thread_unless_the_caller_sets_a_count():
         assert default[0] == 1
         if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
             assert kept[0] == 2
+
+
+#: 559,638 bytes, well above the 64 KiB a Linux pipe holds before a write blocks
+LARGE_ARGV = ["-m", "weaktensor", "run", "ghz", "--parties", "14", "--format", "json"]
+
+
+def _spawn(stdout):
+    return subprocess.Popen(
+        [sys.executable, *LARGE_ARGV], env=_env(), stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+def _lost_write(proc):
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b"BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_a_reader_that_closes_mid_output_gives_exit_1_and_one_line():
+    proc = _spawn(subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _lost_write(proc)
+
+
+def test_a_reader_gone_before_the_first_byte_gives_exit_1_and_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _spawn(write_end)
+    finally:
+        os.close(write_end)
+    _lost_write(proc)
+
+
+def test_a_reader_that_reads_everything_gives_exit_0(tmp_path):
+    whole = _python(LARGE_ARGV)
+    _python([*LARGE_ARGV, "--out", str(tmp_path / "out.json")])
+    assert len(whole) > 2**16 and whole == (tmp_path / "out.json").read_bytes()

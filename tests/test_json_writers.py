@@ -1,6 +1,7 @@
 """``document_to_json`` and ``scenario_to_json`` against the per-element
 ``[re, im]`` transcription, and the document's component array."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,12 +15,14 @@ from weaktensor import (
     build_named,
     custom,
     document_to_json,
+    ghz3_selected,
     make_ket,
     marginalize,
     scenario_to_json,
     scheme_document,
     total_sum,
 )
+from weaktensor import schemefile
 from oracles import json_pairs_loop, random_selected_pair, random_state
 
 SHAPES = [(3,), (2, 3), (2, 2, 3), (2, 3, 5)]
@@ -192,6 +195,30 @@ def test_ranks_one_to_five(dims):
     for scenario in scenarios(dims):
         assert_document_bytes(scheme_document(scenario))
         assert_scenario_bytes(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario", [ghz3_selected(), next(scenarios((5,)))], ids=["ghz3-selected", "rank-1"]
+)
+def test_every_pair_list_goes_through_the_one_list_writer(monkeypatch, scenario):
+    calls, pair_list = [], schemefile._pair_list
+
+    def spy(values, depth):
+        calls.append(depth)
+        return pair_list(values, depth)
+
+    monkeypatch.setattr(schemefile, "_pair_list", spy)
+    doc = scheme_document(scenario)
+    text = document_to_json(doc)
+    assert sorted(calls) == [1] + [2] * len(doc.dims)  # the components and each marginal
+    assert text == json.dumps(document_payload(doc), indent=2) + "\n"
+
+
+def test_empty_marginals_are_written_as_json_writes_them():
+    for marginals, written in [((), '"marginals": [],'), (((),), '"marginals": [\n    []\n  ],')]:
+        doc = dataclasses.replace(hand_built([]), marginals=marginals)
+        assert written in document_to_json(doc)
+        assert_document_bytes(doc)
 
 
 TRICKY = [

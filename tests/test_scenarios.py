@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weaktensor import (
     InvalidCountError,
@@ -24,8 +26,9 @@ from weaktensor import (
     make_ket,
     marginalize,
     total_sum,
+    weak_tensor,
 )
-from oracles import random_selected_pair
+from oracles import hardy_family, random_selected_pair
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
@@ -201,6 +204,59 @@ def test_hardy_gamma_zero_is_orthogonal():
         hardy_gamma(0.0)
     with pytest.raises(OrthogonalSelectionError):
         hardy_gamma(2.0 * math.pi)
+
+
+# ------------------------------------------- the class that holds both experiments
+
+EPS = np.finfo(float).eps
+
+
+def family_tensor(alpha):
+    return weak_tensor(*hardy_family(alpha)).components.reshape(-1)
+
+
+@given(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False).filter(
+        lambda alpha: abs(1 - alpha) > 1e-6
+    )
+)
+def test_hardy_family_follows_its_closed_form(alpha):
+    closed = np.array([1, -alpha, -1, 1]) / (1 - alpha)
+    assert np.abs(family_tensor(alpha) - closed).max() <= 4 * EPS * np.abs(closed).sum()
+
+
+def test_hardy_family_at_zero_is_hardy_bit_for_bit():
+    family, plain = family_tensor(0.0), hardy().tensor().components.reshape(-1)
+    np.testing.assert_array_equal(family.view(np.uint64), plain.view(np.uint64))
+
+
+@given(st.floats(1e-3, 2 * math.pi - 1e-3))
+@example(0.3)
+@example(1.0)
+@example(math.pi)
+def test_hardy_gamma_is_the_family_s_unit_circle(gamma):
+    expected = hardy_gamma(gamma).tensor().components.reshape(-1)
+    gap = np.abs(family_tensor(np.exp(1j * gamma)) - expected).max()
+    assert gap <= 4 * EPS * np.abs(expected).sum()
+
+
+@pytest.mark.parametrize("angle", [0.0, 1.0, math.pi / 2, math.pi, 4.0])
+def test_hardy_family_is_continuous_at_hardy(angle):
+    # each component moves by |alpha| / |1 - alpha| or less, so by at most
+    # 2 |alpha| once |alpha| <= 1/2
+    hardy_components = hardy().tensor().components.reshape(-1)
+    for size in (0.5, 1e-2, 1e-5, 1e-9, 1e-13, 1e-300):
+        alpha = size * np.exp(1j * angle)
+        gap = np.abs(family_tensor(alpha) - hardy_components).max()
+        assert gap <= 2 * size + 4 * EPS
+
+
+@given(st.floats(-1e6, 1 - 1e-6))
+def test_the_negative_weak_value_holds_for_every_real_alpha_below_one(alpha):
+    # the (R_p, L_e) component, flat index 2, is -1 / (1 - alpha)
+    value = family_tensor(alpha)[2]
+    assert value.real < 0 and value.imag == 0
+    assert family_tensor(2 - alpha)[2].real > 0  # mirrored past the singular point alpha = 1
 
 
 # ---------------------------------------------------------------- ghz3 / custom
