@@ -26,19 +26,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    MissingParamError,
-    ShapeMismatchError,
-    UnknownNameError,
-    WeakTensorError,
-    ZeroVectorError,
-)
+from .errors import MissingParamError, ShapeMismatchError, UnknownNameError, WeakTensorError
 from .hilbert import (
     _BLOCK,
-    ZERO_NORM_TOL,
     Ket,
     ProjectorProduct,
     _blocks,
+    _nonzero_norm,
     _reals,
     _scaled,
     basis_label,
@@ -47,7 +41,6 @@ from .hilbert import (
     flat_index,
     freeze,
     inner,
-    norm,
     tensor_product,
 )
 from .scenarios import ghz_ket
@@ -291,9 +284,7 @@ def compare_states(a: Ket, b: Ket) -> ComparisonReport:
     component.
     """
     overlap = inner(a, b)  # raises ShapeMismatchError for different shapes
-    na, nb = norm(a), norm(b)
-    if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
-        raise ZeroVectorError("cannot compare (near-)zero states")
+    na, nb = _nonzero_norm(a), _nonzero_norm(b)
     fidelity = abs(overlap) ** 2 / (na**2 * nb**2)
     ua, ub = np.empty((2, min(a.amps.size, _BLOCK)), np.complex128)
     pa, pb = _gauge(a, na, ua, ub.view(np.float64)), _gauge(b, nb, ub, ua.view(np.float64))

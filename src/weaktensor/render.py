@@ -51,8 +51,12 @@ def check_rank(renderer: str, rank: int) -> None:
 
 
 def fmt_real(value: complex) -> str:
-    """Signed real part at four decimals, the format of every text cell."""
-    return f"{value.real + 0.0:+.4f}"  # +0.0 folds IEEE -0.0 into +0.0
+    """The one number rule of text and SVG: the signed real part at four decimals,
+    ``+.4f`` below 1e16 and ``+.4e`` from 1e16 on, where fixed point would print 17
+    or more integer digits. It writes every cell, sum, marginal, total, imaginary
+    part and overlap part that a grid, cube, SVG or text document shows."""
+    x = value.real + 0.0  # folds IEEE -0.0 into +0.0
+    return f"{x:+.4e}" if abs(x) >= 1e16 else f"{x:+.4f}"
 
 
 def _put_digits(out: np.ndarray, values: np.ndarray, keep: int = 1) -> None:
@@ -132,7 +136,7 @@ def _imag_warning(t: WeakValueTensor, labels) -> list[str]:
     cells = []
     for label in zip(*np.unravel_index(flagged[:IMAG_WARN_CELLS], t.dims)):
         pretty = ",".join(labels[axis][lvl] for axis, lvl in enumerate(label))
-        cells.append(f"({pretty}) imag={t.components[label].imag:+.4f}")
+        cells.append(f"({pretty}) imag={fmt_real(t.components[label].imag)}")
     more = flagged.size - len(cells)
     tail = f"; and {more} more" if more else ""
     return [f"warning: imaginary parts above {IMAG_WARN_TOL:g}: " + "; ".join(cells) + tail]
@@ -237,7 +241,7 @@ def render_svg(t: WeakValueTensor, labels: Sequence[Sequence[str]] | None = None
     flat = t.components.reshape(-1)
     texts = fmt_reals(flat)
     for k in np.flatnonzero(np.abs(flat.imag) > IMAG_WARN_TOL).tolist():
-        texts[k] += f"{flat[k].imag + 0.0:+.4f}i"
+        texts[k] += fmt_real(flat[k].imag) + "i"
     signs = (flat.real > SIGN_TOL).astype(int) - (flat.real < -SIGN_TOL)
     fills = list(map(_FILLS.__getitem__, signs.tolist()))
 

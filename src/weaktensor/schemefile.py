@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (
     DimensionOverflowError, ParseError, SchemaViolationError, UnknownNameError, WeakTensorError
 )
-from .hilbert import MAX_DIMENSION, Ket, check_dims, freeze, read_only_complex
+from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg, shown
 from .scenarios import Scenario, custom
 from .weakvalues import WeakValueTensor, total_sum
@@ -130,24 +130,19 @@ def document_to_json(doc: SchemeDocument) -> str:
     return _spliced(payload, *lists)
 
 
-def _fmt_overlap_part(value: float) -> str:
-    # fixed point with four decimals, exponent form from 1e16 on, where
-    # fixed point would print 17 or more integer digits
-    return f"{value + 0.0:+.4e}" if abs(value) >= 1e16 else f"{value + 0.0:+.4f}"
-
-
 def _document_text(doc: SchemeDocument) -> str:
     # header, then the grid (rank 2), the cube (rank 3) or one line per
     # component, then the per-axis marginals and the total
-    re, im = map(_fmt_overlap_part, (doc.overlap.real, doc.overlap.imag))
-    lines = [f"scenario: {shown(doc.scenario)}", f"kind: {doc.kind}", f"overlap: {re}{im}i"]
+    labels = check_labels(doc.labels, doc.dims)
+    re, im = fmt_real(doc.overlap.real), fmt_real(doc.overlap.imag)
+    lines = [f"scenario: {shown(doc.scenario)}", f"kind: {shown(doc.kind)}", f"overlap: {re}{im}i"]
     block = {2: render_grid, 3: render_cube}.get(len(doc.dims))
     if block is not None:
-        lines.append(block(doc.to_tensor(), doc.labels).rstrip("\n"))
+        lines.append(block(doc.to_tensor(), labels).rstrip("\n"))
     else:
         lines.extend(map("  {}  {}".format, label_strs(doc.dims), fmt_reals(doc.components)))
     for axis, per_level in enumerate(doc.marginals):
-        pairs = "  ".join(map("{}={}".format, map(shown, doc.labels[axis]), fmt_reals(per_level)))
+        pairs = "  ".join(map("{}={}".format, map(shown, labels[axis]), fmt_reals(per_level)))
         lines.append(f"axis {axis} marginals: {pairs}")
     lines.append(f"total: {fmt_real(doc.total)}")
     return "\n".join(lines) + "\n"

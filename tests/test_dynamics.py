@@ -29,6 +29,7 @@ from weaktensor import (
     joint_hamiltonian,
     make_ket,
     norm,
+    normalize,
     phase_report,
     product_form,
     tensor_product,
@@ -414,10 +415,19 @@ def test_compare_states_fidelity_does_not_depend_on_scale():
 
 
 def test_compare_states_errors():
+    zero = Ket((2, 2), np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         compare_states(epr_pair(), epr_epr())
-    with pytest.raises(ZeroVectorError):
-        compare_states(epr_pair(), Ket((2, 2), np.zeros(4)))
+    with pytest.raises(ShapeMismatchError):  # the shapes are checked before the norms
+        compare_states(zero, epr_epr())
+    # a zero state in either position is refused as normalize refuses it
+    with pytest.raises(ZeroVectorError) as from_normalize:
+        normalize(zero)
+    for states in ((zero, epr_pair()), (epr_pair(), zero)):
+        with pytest.raises(ZeroVectorError) as from_compare:
+            compare_states(*states)
+        assert str(from_compare.value) == str(from_normalize.value)
+    assert str(from_normalize.value) == "cannot normalize a vector of norm 0.0"
 
 
 # ---------------------------------------------------------------- phase report

@@ -1,4 +1,6 @@
+import math
 import pathlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from weaktensor import (
     render_svg,
     weak_tensor,
 )
-from weaktensor.render import shown
+from weaktensor.render import fmt_real, shown
 from oracles import random_selected_pair
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -250,6 +252,39 @@ def test_fmt_reals_is_fmt_real_of_every_element():
     assert fmt_reals(values) == [fmt_real(v) for v in values.reshape(-1)]
     assert fmt_reals(values)[:3] == ["+0.0000", "-0.0000", "+0.0001"]
     assert fmt_reals(-0.0 + 2j) == [fmt_real(-0.0 + 2j)] == ["+0.0000"]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1e16, "+1.0000e+16"),
+        (np.nextafter(1e16, 0), "+9999999999999998.0000"),
+        (-1e300, "-1.0000e+300"),
+        (complex(-1e16, 5.0), "-1.0000e+16"),
+        (-0.0, "+0.0000"),
+        (math.nan, "+nan"),
+        (math.inf, "+inf"),
+        (-math.inf, "-inf"),
+    ],
+)
+def test_fmt_real_switches_to_exponent_form_at_1e16(value, text):
+    assert fmt_real(value) == text
+
+
+@pytest.mark.parametrize("dims, count", [((2, 2), 5), ((2, 2, 2), 2)])
+def test_a_cell_from_1e16_on_prints_in_exponent_form_in_text_and_svg(dims, count):
+    # the grid prints the cell, its row and column sums and the total; the cube the cell;
+    # both then name its imaginary part in the warning line
+    components = np.zeros(dims, np.complex128)
+    components.flat[0] = 1e20 + 1e20j
+    tensor = WeakValueTensor(dims, components, "weak", 1.0 + 0.0j)
+    text = (render_grid if len(dims) == 2 else render_cube)(tensor)
+    assert text.count("+1.0000e+20") == count
+    assert text.splitlines()[-1].endswith(f"({','.join('0' * len(dims))}) imag=+1.0000e+20")
+    svg = ET.fromstring(render_svg(tensor))
+    texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "+1.0000e+20+1.0000e+20i" in texts
+    assert max(map(len, texts)) == len("+1.0000e+20+1.0000e+20i")
 
 
 def test_renderers_and_scenarios_reject_labels_with_one_message():

@@ -1,11 +1,15 @@
 """``render_document(doc, "text")`` is the CLI's text document, at any rank."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from weaktensor import cli_main, custom, read_ket_file, render_document, scheme_document
+from weaktensor import (
+    LengthMismatchError, SchemeDocument, cli_main, custom, read_ket_file, render_document,
+    scheme_document,
+)
 from oracles import random_selected_pair, random_state
 
 
@@ -43,3 +47,36 @@ def test_expectation_document_text_equals_cli_text(tmp_path, capsys):
     written = tmp_path / "doc.txt"
     assert cli_main(["tensor", "--pre", pre_path, "--format", "text", "--out", str(written)]) == 0
     assert written.read_text(encoding="utf-8") == out
+
+
+def hand_built(dims, labels, kind="weak"):
+    # the weak tensor of |0...0> selected on itself: 1 in the first cell, 0 elsewhere
+    components = np.zeros(math.prod(dims), np.complex128)
+    components[0] = 1
+    marginals = tuple(np.eye(d, dtype=np.complex128)[0] for d in dims)
+    return SchemeDocument("hand", dims, labels, kind, 1 + 0j, components, marginals, 1 + 0j)
+
+
+def test_integer_labels_are_shown_as_the_grid_and_svg_show_them():
+    doc = hand_built((2, 2), ((0, 1), (2, 3)))
+    lines = render_document(doc, "text").decode("utf-8").splitlines()
+    assert lines[3].split() == ["2", "3", "|", "sum"]
+    assert [line.split()[0] for line in lines[4:6]] == ["0", "1"]
+    assert lines[-3:-1] == [
+        "axis 0 marginals: 0=+1.0000  1=+0.0000",
+        "axis 1 marginals: 2=+1.0000  3=+0.0000",
+    ]
+    svg = render_document(doc, "svg").decode("utf-8")
+    assert all(f">{label}</text>" in svg for label in "0123")
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2)])
+def test_labels_shorter_than_an_axis_are_refused_at_a_listing_rank(dims):
+    doc = hand_built(dims, (("a",),) * len(dims))
+    with pytest.raises(LengthMismatchError, match="do not match shape"):
+        render_document(doc, "text")
+
+
+def test_a_kind_with_a_newline_stays_on_its_header_line():
+    text = render_document(hand_built((2,), (("a", "b"),), kind="a\nb"), "text").decode("utf-8")
+    assert text.splitlines()[:3] == ["scenario: hand", "kind: a\\nb", "overlap: +1.0000+0.0000i"]

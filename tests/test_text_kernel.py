@@ -19,7 +19,8 @@ EXACT_LIMIT = 2.0**50 / 1e4
 EDGES = [0.0, -0.0, 0.03125, -0.03125, 5e-324, -5e-324, 2.2250738585072014e-308, 4e-5, -4e-5,
          5e-5, -5e-5, 2.5e-5, 0.00015, 0.99995, 1.00005, 9.99995, 1e20, -1e20, 1e300, -1e300,
          math.nan, math.inf, -math.inf, EXACT_LIMIT, -EXACT_LIMIT, np.nextafter(EXACT_LIMIT, 0),
-         np.nextafter(EXACT_LIMIT, math.inf), 3 * 2**53 / 1e4, -123456789012345.67]
+         np.nextafter(EXACT_LIMIT, math.inf), 3 * 2**53 / 1e4, -123456789012345.67, 1e16,
+         np.nextafter(1e16, 0)]
 
 REALS = st.one_of(
     st.floats(),  # NaN, infinities, signed zeros and subnormals included

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaktensor import (
+    ORTHO_TOL,
     Ket,
     LengthMismatchError,
     OrthogonalSelectionError,
@@ -18,6 +19,7 @@ from weaktensor import (
     expectation_tensor,
     make_ket,
     marginalize,
+    norm,
     scheme_document,
     total_sum,
     weak_tensor,
@@ -27,6 +29,7 @@ from oracles import (
     all_projector_products,
     dense_projector_product,
     random_selected_pair,
+    random_state,
     weak_value_observable,
 )
 
@@ -314,6 +317,31 @@ def test_expectation_tensor_is_the_weak_tensor_of_a_state_with_itself(dims, seed
     state = Ket(dims, amps)
     diff = expectation_tensor(state).components - weak_tensor(state, state).components
     assert np.max(np.abs(diff)) <= 4 * EPS
+
+
+@settings(max_examples=100)
+@given(SHAPES, st.integers(0, 2**32 - 1), st.floats(-10, -6), st.integers(-50, 50),
+       st.integers(-50, 50))
+def test_an_accepted_selection_bounds_every_weak_value_below_one_over_ortho_tol(
+    dims, seed, log_overlap, k_pre, k_post
+):
+    # post has relative overlap 10**log_overlap with pre: near the ORTHO_TOL guard.
+    # Cauchy-Schwarz gives sum |w_k| <= |pre| |post| / |<post|pre>|, and the guard keeps
+    # that below 1 / ORTHO_TOL, so no weak value reaches the 1e16 where text switches form
+    rng = np.random.default_rng(seed)
+    pre, noise = random_state(rng, dims), random_state(rng, dims)
+    orth = noise - np.vdot(pre, noise) / np.vdot(pre, pre) * pre
+    r = 10.0**log_overlap
+    post = orth / np.linalg.norm(orth) * math.sqrt(1 - r * r) + r * pre / np.linalg.norm(pre)
+    phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    pre, post = Ket(dims, pre * 10.0**k_pre), Ket(dims, post * phase * 10.0**k_post)
+    try:
+        t = weak_tensor(pre, post)
+    except OrthogonalSelectionError:
+        return
+    bound = norm(pre) * norm(post) / abs(t.overlap) * (1 + 8 * EPS)
+    assert np.sum(np.abs(t.components)) <= bound < 1.01 / ORTHO_TOL
+    assert np.max(np.abs(t.components)) < 1e16
 
 
 # ---------------------------------------------------------------- dense oracle
