@@ -135,9 +135,8 @@ def _cmd_evolve(args) -> bytes:
     phases = phase_report(state, reference)
     labels = itertools.compress(label_strs(state.dims), phases.keep)
     lines.extend(map("  {}  {:+.6f}".format, labels, phases.values()))
-    if args.compare:  # state is already one side of the (exact, form) pair
-        pair = (state, other(name, args.time, **params))
-        report = compare_states(*pair if exact else pair[::-1])
+    if args.compare:  # state is one side of the (exact, form) pair; compare_states is symmetric
+        report = compare_states(state, other(name, args.time, **params))
         lines += ["exact vs product form:", f"  fidelity: {report.fidelity:.6f}",
                   f"  max component diff: {report.max_component_diff:.6f}"]
     return _lines(lines)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidCountError, MissingParamError, UnknownNameError
 from .hilbert import (
-    MAX_DIMENSION, Ket, _integers, _reals, check_dims, check_labels, freeze, make_ket
+    MAX_DIMENSION, Ket, _integers, _reals, check_dims, check_labels, flat_index, freeze, make_ket
 )
 from .weakvalues import WeakValueTensor, expectation_tensor, selection_overlap, weak_tensor
 
@@ -92,9 +92,8 @@ def ghz_ket(parties: int, levels: int, all_diagonal: bool = False) -> Ket:
     # levels >= 2, so bit_length + 1 axes already exceed the ceiling: a longer shape is never built
     dims = check_dims((levels,) * min(parties, MAX_DIMENSION.bit_length() + 1))
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
-    stride = (levels**parties - 1) // (levels - 1)  # flat step between |j...j> and |j+1...j+1>
     diagonal = range(levels) if all_diagonal else (0, levels - 1)
-    amps[[j * stride for j in diagonal]] = 1.0 / math.sqrt(len(diagonal))
+    amps[[flat_index((j,) * parties, dims) for j in diagonal]] = 1.0 / math.sqrt(len(diagonal))
     return Ket(dims, amps)
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionOverflowError, ParseError, SchemaViolationError, UnknownNameError, WeakTensorError
+    DimensionOverflowError, LengthMismatchError, ParseError, SchemaViolationError, UnknownNameError,
+    WeakTensorError,
 )
 from .hilbert import MAX_DIMENSION, Ket, check_dims, check_labels, freeze, read_only_complex
 from .render import fmt_real, fmt_reals, label_strs, render_cube, render_grid, render_svg, shown
@@ -55,11 +56,14 @@ class SchemeDocument:
     total: complex
 
     def to_tensor(self) -> WeakValueTensor:
-        """The tensor, with this document's marginals as its cached ones."""
+        """The tensor by its rules, with the document's marginals, one per axis, cached."""
         tensor = WeakValueTensor(self.dims, self.components, self.kind, self.overlap)
-        marginals = tuple(
-            read_only_complex(m, (d,), what="marginals") for m, d in zip(self.marginals, self.dims)
-        )
+        dims, given = tensor.dims, tuple(self.marginals)
+        if len(given) != len(dims):
+            raise LengthMismatchError(
+                f"expected {len(dims)} marginals for shape {dims}, got {len(given)}"
+            )
+        marginals = tuple(read_only_complex(m, (d,), what="marginals") for m, d in zip(given, dims))
         object.__setattr__(tensor, "marginals", marginals)  # fills the cached_property
         return tensor
 
@@ -131,17 +135,17 @@ def document_to_json(doc: SchemeDocument) -> str:
 
 
 def _document_text(doc: SchemeDocument) -> str:
-    # header, then the grid (rank 2), the cube (rank 3) or one line per
-    # component, then the per-axis marginals and the total
-    labels = check_labels(doc.labels, doc.dims)
-    re, im = fmt_real(doc.overlap.real), fmt_real(doc.overlap.imag)
+    # header; the grid (rank 2), cube (rank 3) or a line per component; marginals; total
+    tensor = doc.to_tensor()
+    labels = check_labels(doc.labels, tensor.dims)
+    re, im = fmt_real(tensor.overlap.real), fmt_real(tensor.overlap.imag)
     lines = [f"scenario: {shown(doc.scenario)}", f"kind: {shown(doc.kind)}", f"overlap: {re}{im}i"]
-    block = {2: render_grid, 3: render_cube}.get(len(doc.dims))
+    block = {2: render_grid, 3: render_cube}.get(tensor.rank)
     if block is not None:
-        lines.append(block(doc.to_tensor(), labels).rstrip("\n"))
+        lines.append(block(tensor, labels).rstrip("\n"))
     else:
-        lines.extend(map("  {}  {}".format, label_strs(doc.dims), fmt_reals(doc.components)))
-    for axis, per_level in enumerate(doc.marginals):
+        lines.extend(map("  {}  {}".format, label_strs(tensor.dims), fmt_reals(tensor.components)))
+    for axis, per_level in enumerate(tensor.marginals):
         pairs = "  ".join(map("{}={}".format, map(shown, labels[axis]), fmt_reals(per_level)))
         lines.append(f"axis {axis} marginals: {pairs}")
     lines.append(f"total: {fmt_real(doc.total)}")
@@ -151,8 +155,8 @@ def _document_text(doc: SchemeDocument) -> str:
 def render_document(doc: SchemeDocument, fmt: str) -> bytes:
     """Render a document as json, text, or svg bytes.
 
-    The text form is the CLI's text document for any rank. Text and SVG show the
-    scenario name and labels by :func:`~weaktensor.render.shown`, JSON raw.
+    Text (the CLI's document, at any rank) and SVG read ``doc.to_tensor()`` and show the
+    name and labels by :func:`~weaktensor.render.shown`; JSON writes every field as given.
     """
     if fmt == "json":
         return document_to_json(doc).encode("utf-8")

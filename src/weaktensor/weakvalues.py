@@ -23,8 +23,8 @@ from .errors import (
     SubsystemOutOfRangeError,
 )
 from .hilbert import (
-    Ket, ProjectorProduct, _integers, _nonzero_norm, _scaled, flat_index, freeze, inner, norm,
-    read_only_complex,
+    Ket, ProjectorProduct, _integers, _nonzero_norm, _scaled, check_dims, flat_index, freeze, inner,
+    norm, read_only_complex,
 )
 
 #: Relative orthogonality tolerance: a selection is rejected when
@@ -57,8 +57,8 @@ class WeakValueTensor:
     normalized state; real, in [0, 1], and summing to 1. ``overlap`` stores
     the selection overlap ``<post|pre>`` for diagnostics.
 
-    ``components`` is read-only and shaped ``dims``; it is kept as a view or
-    copied by the same rule as :class:`Ket`'s amplitudes. Since nothing can
+    ``dims`` passes :func:`~weaktensor.hilbert.check_dims`, and ``components``, read-only
+    and shaped ``dims``, is a view or a copy by :class:`Ket`'s rules. Since nothing can
     write to it, :attr:`marginals` is computed once per tensor and kept.
     """
 
@@ -68,8 +68,8 @@ class WeakValueTensor:
     overlap: complex
 
     def __post_init__(self):
-        components = read_only_complex(self.components, tuple(self.dims), what="components")
-        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "dims", check_dims(self.dims))
+        components = read_only_complex(self.components, self.dims, what="components")
         object.__setattr__(self, "components", components)
         overlap = read_only_complex(self.overlap, what="overlap")
         if overlap.ndim:

@@ -34,6 +34,7 @@ from weaktensor import (
     product_form,
     tensor_product,
 )
+from weaktensor.dynamics import FAMILIES
 from oracles import random_state
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -383,6 +384,21 @@ def test_exact_counterpart_families_run():
         form = product_form(family, 0.7, **params)
         assert exact.dims == form.dims
         assert norm(exact) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.lists(st.floats(-20, 20), min_size=2, max_size=2),
+    st.floats(-100, 100),
+)
+def test_compare_states_is_symmetric_bit_for_bit(family, values, t):
+    # so evolve --compare may pass its (exact, product form) pair in either order
+    params = dict(zip(FAMILIES[family].params, values))
+    exact, form = exact_counterpart(family, t, **params), product_form(family, t, **params)
+    forward, backward = compare_states(exact, form), compare_states(form, exact)
+    assert forward.fidelity.hex() == backward.fidelity.hex()
+    assert forward.max_component_diff.hex() == backward.max_component_diff.hex()
 
 
 # ---------------------------------------------------------------- comparison

@@ -1,6 +1,7 @@
 """Every library failure is a WeakTensorError; the name lookups and count
 checks that used to raise a bare ValueError still are ValueErrors."""
 
+import dataclasses
 import math
 import pickle
 
@@ -110,9 +111,22 @@ def test_unknown_names_keep_their_messages(call, message):
          "axis 5 not in a rank-2 tensor"),
         (lambda: ProjectorProduct(((3, 0),)).index((2, 2)), OutOfRangeError,
          "subsystem 3 not in shape (2, 2)"),
+        # a tensor's shape is read by the shape rule of Ket
+        (lambda: WeakValueTensor((2.0, 2), [1, 0, 0, 0], "weak", 1), ShapeMismatchError,
+         "expected integer local dimensions, got (2.0, 2)"),
+        (lambda: WeakValueTensor("ab", [1, 0, 0, 0], "weak", 1), ShapeMismatchError,
+         "expected integer local dimensions, got 'ab'"),
+        (lambda: WeakValueTensor((1, 4), [1, 0, 0, 0], "weak", 1), ShapeMismatchError,
+         "local dimensions must be >= 2, got (1, 4)"),
+        (lambda: WeakValueTensor((), [1], "weak", 1), ShapeMismatchError,
+         "at least one subsystem is required"),
+        # a document holds one marginal per axis
+        (lambda: dataclasses.replace(scheme_document(cheshire()), marginals=()).to_tensor(),
+         LengthMismatchError, "expected 2 marginals for shape (2, 2), got 0"),
     ],
     ids=["energies", "phase-report", "family", "hardy-overlap", "pauli-qutrit", "stabilizer-qutrit",
-         "diagonal", "grid-labels", "marginal-axis", "projector-subsystem"],
+         "diagonal", "grid-labels", "marginal-axis", "projector-subsystem", "tensor-float-dims",
+         "tensor-string-dims", "tensor-unit-dim", "tensor-no-dims", "document-marginal-count"],
 )
 def test_a_size_refusal_states_what_it_expected(call, error, message):
     with pytest.raises(error) as info:

@@ -75,7 +75,9 @@ def test_diagonal_cells_non_uniform():
         diagonal_cells((2, 3))
 
 
-@pytest.mark.parametrize("parties,levels", [(2, 2), (3, 2), (3, 3), (4, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "parties,levels", [(2, 2), (3, 2), (3, 3), (4, 2), (2, 4), (20, 2), (2, 1024)]
+)
 def test_ghz_states_are_diagonal_supported(parties, levels):
     # tol is a fraction of the state's mass; at 2**600 the squares overflow
     for state in (ghz_ket(parties, levels), ghz_ket(parties, levels, all_diagonal=True)):
